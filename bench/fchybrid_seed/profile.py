@@ -1,0 +1,267 @@
+"""Mission power profiles: load, synthesize, summarize, resample.
+
+A profile is a sequence of (time, demand) samples interpreted with
+piecewise-constant hold: demand(t) = power[i] for times[i] <= t < times[i+1].
+The final sample closes the horizon; its value only matters for peak
+statistics and hold extension past the end.
+
+Units: time in seconds, power in watts, energy in watt-hours.
+
+CSV interchange format: UTF-8 text, header exactly ``time_s,power_w``,
+one sample per row, numbers emitted at 6 significant digits.
+"""
+
+from __future__ import annotations
+
+import io
+import math
+from dataclasses import dataclass
+from pathlib import Path
+from typing import IO, Union
+
+import numpy as np
+
+from .errors import ProfileParseError, ValidationError
+
+CSV_HEADER = "time_s,power_w"
+
+ProfileSource = Union[str, Path, bytes, IO[str], IO[bytes]]
+
+
+@dataclass(frozen=True, eq=False)
+class PowerProfile:
+    """Demand time series with hold interpolation.
+
+    times must start at 0 and be strictly increasing; power must be
+    finite and non-negative; at least two samples are required.
+    """
+
+    times: np.ndarray  # s
+    power: np.ndarray  # W
+    name: str = ""
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        power = np.asarray(self.power, dtype=float)
+        if times.ndim != 1 or power.ndim != 1 or times.size != power.size:
+            raise ValidationError("times and power must be 1-d arrays of equal length")
+        if times.size < 2:
+            raise ValidationError("a profile needs at least 2 samples")
+        if not np.isfinite(times).all() or not np.isfinite(power).all():
+            raise ValidationError("profile samples must be finite")
+        if times[0] != 0.0:
+            raise ValidationError("first sample must be at time 0")
+        if not (np.diff(times) > 0).all():
+            raise ValidationError("time values must be strictly increasing")
+        if (power < 0).any():
+            raise ValidationError("power demand must be non-negative")
+        times.flags.writeable = False
+        power.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "power", power)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PowerProfile):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and np.array_equal(self.times, other.times)
+            and np.array_equal(self.power, other.power)
+        )
+
+    def __len__(self) -> int:
+        return int(self.times.size)
+
+    @property
+    def duration(self) -> float:
+        """Horizon in seconds (time of the last sample)."""
+        return float(self.times[-1])
+
+    def demand_at(self, t: float) -> float:
+        """Held demand at time t; clamps outside [0, duration]."""
+        if t <= 0.0:
+            return float(self.power[0])
+        i = int(np.searchsorted(self.times, t, side="right")) - 1
+        if i >= len(self.times) - 1:
+            return float(self.power[-1])
+        return float(self.power[i])
+
+
+@dataclass(frozen=True)
+class ProfileStats:
+    average_power: float  # W, time-weighted
+    peak_power: float  # W
+    idle_fraction: float  # share of time at or below the idle threshold
+    duration: float  # s
+    energy: float  # Wh
+
+
+@dataclass(frozen=True)
+class GaitParams:
+    """Rectangular walking-load shape.
+
+    Each gait period spends stride_duty of its length at
+    base_load + mech_peak / servo_efficiency and the rest at base_load.
+    """
+
+    base_load: float = 40.0  # W, computer plus sensors
+    gait_period: float = 1.0  # s
+    stride_duty: float = 0.6  # fraction of the period under stride load
+    mech_peak: float = 0.0  # W mechanical at the joints
+    servo_efficiency: float = 0.5  # electrical to mechanical
+    duration: float = 3600.0  # s
+
+    def __post_init__(self):
+        if self.base_load < 0:
+            raise ValidationError("base_load must be >= 0")
+        if self.gait_period <= 0:
+            raise ValidationError("gait_period must be > 0")
+        if not 0.0 < self.stride_duty <= 1.0:
+            raise ValidationError("stride_duty must be in (0, 1]")
+        if self.mech_peak < 0:
+            raise ValidationError("mech_peak must be >= 0")
+        if not 0.0 < self.servo_efficiency <= 1.0:
+            raise ValidationError("servo_efficiency must be in (0, 1]")
+        if self.duration <= 0:
+            raise ValidationError("duration must be > 0")
+
+    @property
+    def stride_power(self) -> float:
+        """Electrical demand during the stride phase, W."""
+        return self.base_load + self.mech_peak / self.servo_efficiency
+
+    @property
+    def average_power(self) -> float:
+        """Duty-weighted mean of the rectangular wave, W."""
+        return self.base_load + self.stride_duty * (self.stride_power - self.base_load)
+
+
+def synthesize_walk_profile(params: GaitParams, step: float | None = None,
+                            name: str = "walk") -> PowerProfile:
+    """Sample the rectangular gait wave on a fixed grid.
+
+    step defaults to gait_period / 50, which keeps per-cycle energy error
+    under 2 percent for any duty and is exact when the duty aligns with
+    the grid.
+    """
+    if step is None:
+        step = params.gait_period / 50.0
+    if step <= 0:
+        raise ValidationError("step must be > 0")
+    n = int(math.ceil(params.duration / step - 1e-9))
+    times = np.arange(n + 1) * step
+    if times[-1] < params.duration - 1e-9 * params.duration:
+        times = np.append(times, params.duration)
+    else:
+        times[-1] = params.duration
+    # phase test with a snap tolerance so grid points that should land
+    # exactly on a cycle boundary do not fall on the wrong side
+    frac = times / params.gait_period
+    cycle = np.floor(frac + 1e-9)
+    local = frac - cycle
+    power = np.where(local < params.stride_duty - 1e-9,
+                     params.stride_power, params.base_load)
+    return PowerProfile(times=times, power=power, name=name)
+
+
+def profile_stats(profile: PowerProfile, idle_threshold: float | None = None) -> ProfileStats:
+    """Time-weighted summary under hold interpolation.
+
+    idle_threshold defaults to the profile minimum plus 1 W, treating the
+    lowest sustained level as the compute-only idle load.
+    """
+    dt = np.diff(profile.times)
+    held = profile.power[:-1]
+    energy_ws = float(np.dot(held, dt))
+    duration = profile.duration
+    average = energy_ws / duration
+    if idle_threshold is None:
+        idle_threshold = float(profile.power.min()) + 1.0
+    idle = float(dt[held <= idle_threshold].sum()) / duration
+    return ProfileStats(
+        average_power=average,
+        peak_power=float(profile.power.max()),
+        idle_fraction=idle,
+        duration=duration,
+        energy=energy_ws / 3600.0,
+    )
+
+
+def resample(profile: PowerProfile, dt: float) -> PowerProfile:
+    """Project onto a uniform grid of spacing dt, keeping hold values.
+
+    The grid ends at round(duration / dt) steps, so up to half a step of
+    horizon is gained or lost; held energy moves by at most one
+    dt * peak_power per original transition. Resampling an already
+    uniform profile at its own spacing is an exact no-op, which makes the
+    operation idempotent.
+    """
+    if dt <= 0:
+        raise ValidationError("dt must be > 0")
+    n = max(1, int(round(profile.duration / dt)))
+    times = np.arange(n + 1) * dt
+    idx = np.searchsorted(profile.times, times, side="right") - 1
+    idx = np.clip(idx, 0, len(profile.times) - 1)
+    power = profile.power[idx]
+    return PowerProfile(times=times, power=power, name=profile.name)
+
+
+def emit_profile(profile: PowerProfile) -> str:
+    """Render to CSV text at 6 significant digits."""
+    lines = [CSV_HEADER]
+    for t, p in zip(profile.times, profile.power):
+        lines.append(f"{t:.6g},{p:.6g}")
+    return "\n".join(lines) + "\n"
+
+
+def _open_text(source: ProfileSource):
+    if isinstance(source, (str, Path)):
+        return open(source, "r", encoding="utf-8-sig", newline=""), True
+    if isinstance(source, bytes):
+        return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig"), True
+    if isinstance(source, io.TextIOBase):
+        return source, False
+    # binary file object
+    return io.TextIOWrapper(source, encoding="utf-8-sig"), False
+
+
+def load_profile(source: ProfileSource, name: str | None = None) -> PowerProfile:
+    """Parse profile CSV from a path, bytes, or open file.
+
+    Raises ProfileParseError (with line number) for malformed rows and
+    ValidationError for ordering or sign violations.
+    """
+    stream, owned = _open_text(source)
+    try:
+        times: list[float] = []
+        power: list[float] = []
+        lineno = 0
+        for raw in stream:
+            lineno += 1
+            line = raw.strip()
+            if not line:
+                continue
+            if lineno == 1:
+                if line != CSV_HEADER:
+                    raise ProfileParseError(
+                        f"expected header '{CSV_HEADER}', got '{line}'", line=1)
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ProfileParseError(
+                    f"expected 2 fields, got {len(parts)}", line=lineno)
+            try:
+                t = float(parts[0])
+                p = float(parts[1])
+            except ValueError as exc:
+                raise ProfileParseError(str(exc), line=lineno) from None
+            times.append(t)
+            power.append(p)
+        if lineno == 0:
+            raise ProfileParseError("empty profile file", line=1)
+    finally:
+        if owned:
+            stream.close()
+    if name is None:
+        name = Path(source).stem if isinstance(source, (str, Path)) else ""
+    return PowerProfile(times=np.array(times), power=np.array(power), name=name)
