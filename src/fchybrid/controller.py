@@ -65,10 +65,21 @@ def dispatch_power(demand: float, fc_command: float, trickle_headroom: float,
                    spec: BatterySpec, state: BatteryState,
                    fuel_remaining_wh: float, dt: float,
                    time: float = 0.0) -> tuple[EnergyFlow, BatteryState]:
-    """Dispatch with an explicit fuel-cell command (simulator hot path)."""
-    if dt <= 0:
+    """Split one step of demand between a commanded stack and the battery.
+
+    The stack delivers fc_command, cut to what fuel_remaining_wh can
+    sustain over dt. The battery takes the signed residual through
+    ``battery_step``, charge requests capped at trickle_headroom of its
+    power bound; what it cannot take is curtailed, what it cannot supply
+    is unmet. Returns the step's flow, stamped with time, and the new
+    battery state.
+
+    ``simulate`` calls this once per step, so it does nothing beyond the
+    balance: one ``battery_step`` call and one positionally built flow.
+    """
+    if dt <= 0.0:
         raise ValidationError("dt must be > 0")
-    if demand < 0:
+    if demand < 0.0:
         raise ValidationError("demand must be >= 0")
     fc_output = fc_command
     deliverable = fuel_remaining_wh * 3600.0 / dt
@@ -82,13 +93,8 @@ def dispatch_power(demand: float, fc_command: float, trickle_headroom: float,
     state, actual = battery_step(spec, state, request, dt)
     residual = fc_output + actual - demand
     if residual >= 0.0:
-        curtailed, unmet = residual, 0.0
-    else:
-        curtailed, unmet = 0.0, -residual
-    flow = EnergyFlow(time=time, demand=demand, fc_output=fc_output,
-                      battery_power=actual, unmet=unmet, curtailed=curtailed,
-                      soc=state.soc)
-    return flow, state
+        return EnergyFlow(time, demand, fc_output, actual, 0.0, residual, state.soc), state
+    return EnergyFlow(time, demand, fc_output, actual, -residual, 0.0, state.soc), state
 
 
 def dispatch(demand: float, params: ControllerParams, spec: BatterySpec,

@@ -22,7 +22,7 @@ law passes through 26280 h (3 years) at a steady 0.8 V and about 120 h
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import ValidationError
 
@@ -96,6 +96,11 @@ class BatterySpec:
     cycle_life: float = 1000.0  # full equivalent cycles
     soc_min: float = 0.1
     soc_max: float = 1.0
+    # mass times specific energy and power, set by __post_init__: the step
+    # functions read both on every call, and a stored attribute is the
+    # cheapest read
+    capacity_wh: float = field(init=False, repr=False, compare=False)  # Wh
+    max_power_w: float = field(init=False, repr=False, compare=False)  # W
 
     def __post_init__(self):
         if self.mass < 0:
@@ -112,14 +117,8 @@ class BatterySpec:
             raise ValidationError("cycle_life must be > 0")
         if not 0.0 <= self.soc_min < self.soc_max <= 1.0:
             raise ValidationError("need 0 <= soc_min < soc_max <= 1")
-
-    @property
-    def capacity_wh(self) -> float:
-        return self.mass * self.specific_energy
-
-    @property
-    def max_power_w(self) -> float:
-        return self.mass * self.specific_power
+        object.__setattr__(self, "capacity_wh", self.mass * self.specific_energy)
+        object.__setattr__(self, "max_power_w", self.mass * self.specific_power)
 
     def scaled(self, mass: float) -> "BatterySpec":
         """Same chemistry at a different pack mass."""
@@ -177,7 +176,7 @@ def battery_step(spec: BatterySpec, state: BatteryState, terminal_power: float,
     apply between the terminals and the store. Returns the new state and
     the terminal power actually realized.
     """
-    if dt <= 0:
+    if dt <= 0.0:
         raise ValidationError("dt must be > 0")
     cap = spec.capacity_wh
     if cap <= 0.0:
@@ -219,11 +218,15 @@ def battery_charge_acceptance(spec: BatterySpec, state: BatteryState, dt: float,
                               headroom_fraction: float = 1.0) -> float:
     """Terminal watts of charge the pack can absorb this step."""
     cap = spec.capacity_wh
-    if cap <= 0.0 or dt <= 0:
+    if cap <= 0.0 or dt <= 0.0:
         return 0.0
     dt_h = dt / 3600.0
     energy_limit = (spec.soc_max - state.soc) * cap / (dt_h * spec.charge_efficiency)
-    return max(0.0, min(spec.max_power_w * headroom_fraction, energy_limit))
+    # the lesser of the power and energy limits, floored at zero
+    accepted = spec.max_power_w * headroom_fraction
+    if energy_limit < accepted:
+        accepted = energy_limit
+    return accepted if accepted > 0.0 else 0.0
 
 
 def battery_cycle_damage(spec: BatterySpec, state: BatteryState) -> float:

@@ -13,10 +13,20 @@ The integrator is explicit with a fixed dt, demand held constant within a
 step. Runs are deterministic: identical inputs give bit-identical
 results. Fuel is tracked on the electrical side so one watt of stack
 output always costs one watt of tank drawdown.
+
+Each step calls the public step functions, looked up by module name:
+``battery_charge_acceptance`` (hybrid mode only), then ``dispatch_power``,
+which calls ``powertrain.battery_step``. They are deliberately not inlined
+into the loop. Each law then has one implementation, the one its tests
+check, and wrapping the names observes every step; the benchmark's traced
+run records the calls that way and replays them. Speed comes from keeping
+those functions and the loop's own bookkeeping lean instead.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -137,17 +147,28 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
 
     Flows are recorded every flow_stride-th step when record_flows is
     set. Decimation keeps logs small without touching the integration.
+
+    dt and max_hours must be finite and positive, grace_s finite and
+    non-negative, unmet_fraction in [0, 1]; anything else (NaN included)
+    raises ValidationError before the first step. A run that passes
+    max_hours (default 1e6 for looped runs, no limit otherwise) raises
+    RuntimeError.
     """
     if dt is None:
         dt = default_dt(profile)
-    if dt <= 0:
-        raise ValidationError("dt must be > 0")
+    if not 0.0 < dt < math.inf:
+        raise ValidationError("dt must be finite and > 0")
     if flow_stride < 1:
         raise ValidationError("flow_stride must be >= 1")
-    if grace_s < 0:
-        raise ValidationError("grace_s must be >= 0")
-    if loop_profile and max_hours is None:
-        max_hours = 1e6  # runaway guard for looped runs
+    if not 0.0 <= grace_s < math.inf:
+        raise ValidationError("grace_s must be finite and >= 0")
+    if not 0.0 <= unmet_fraction <= 1.0:
+        raise ValidationError("unmet_fraction must be in [0, 1]")
+    if max_hours is None:
+        max_hours = 1e6 if loop_profile else math.inf
+    elif not 0.0 < max_hours < math.inf:
+        raise ValidationError("max_hours must be finite and > 0")
+    limit_s = max_hours * 3600.0
 
     battery = config.battery
     tank = config.tank
@@ -158,12 +179,14 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
 
     dt_h = dt / 3600.0
     duration_s = profile.duration
+    end_s = duration_s - 1e-9
     eta_conv = config.electronics.converter_efficiency
     inv_eta = 1.0 / eta_conv
     cap_wh = battery.capacity_wh
     soc_floor = battery.soc_min
     rated = config.stack.rated_power
     setpoint = min(config.controller.fc_setpoint, rated)
+    ceiling = setpoint if is_hybrid else rated
     headroom = config.controller.trickle_headroom
     tau = config.controller.filter_time_constant
     alpha = dt / (tau + dt)
@@ -174,16 +197,19 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     fuel_wh = fuel_energy(tank)
     fuel_wh_initial = fuel_wh
 
-    times_l = profile.times.tolist()
-    power_l = profile.power.tolist()
-    last_i = len(times_l) - 1
+    # bus-side demand of each held sample, and the time the next sample
+    # starts, ending in an inf sentinel so the hold search needs no bound
+    bus_l = (profile.power * inv_eta).tolist()
+    next_l = profile.times[1:].tolist()
+    next_l.append(math.inf)
 
     delivered_bus = 0.0  # Wh
     unmet_bus = 0.0
     curtailed = 0.0
     fc_on_h = 0.0
-    fc_series: list[float] = []
+    fc_series = array("d")
     flows: list[EnergyFlow] = []
+    next_flow = 0 if record_flows else -1  # step whose flow is recorded next
     filt: float | None = None
     streak_start = -1.0
     streak_s = 0.0
@@ -195,35 +221,37 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     idx = 0
     while True:
         t = n * dt
-        local = t - wraps * duration_s
         if loop_profile:
-            while local >= duration_s - 1e-9:
+            local = t - wraps * duration_s
+            while local >= end_s:
                 wraps += 1
                 local -= duration_s
                 idx = 0
-        elif t >= duration_s - 1e-9:
+        elif t >= end_s:
             termination = PROFILE_ENDED
             break
-        if max_hours is not None and t > max_hours * 3600.0:
+        else:
+            local = t
+        if t > limit_s:
             raise RuntimeError("simulation exceeded max_hours safety horizon")
-        while idx < last_i and times_l[idx + 1] <= local + 1e-12:
+        hold = local + 1e-12
+        while next_l[idx] <= hold:
             idx += 1
-        bus_demand = power_l[idx] * inv_eta
+        bus_demand = bus_l[idx]
 
         usable_wh = (state.soc - soc_floor) * cap_wh
-        if has_fuel_path:
-            ceiling = setpoint if is_hybrid else rated
-            need_wh = min(ceiling, bus_demand) * dt_h
-            if fuel_wh < need_wh - 1e-12 and usable_wh <= 1e-9:
-                termination = FUEL_EXHAUSTED
+        if usable_wh <= 1e-9:
+            if has_fuel_path:
+                need_wh = (bus_demand if bus_demand < ceiling else ceiling) * dt_h
+                if fuel_wh < need_wh - 1e-12:
+                    termination = FUEL_EXHAUSTED
+                    break
+            elif bus_demand > 1e-12:
+                termination = BATTERY_DEPLETED
                 break
-        elif bus_demand > 1e-12 and usable_wh <= 1e-9:
-            termination = BATTERY_DEPLETED
-            break
 
         if is_hybrid:
-            acc = battery_charge_acceptance(battery, state, dt, headroom)
-            command = bus_demand + acc
+            command = bus_demand + battery_charge_acceptance(battery, state, dt, headroom)
             if command > setpoint:
                 command = setpoint
             if filt is None:
@@ -237,7 +265,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
             fc_cmd = 0.0
 
         flow, state = dispatch_power(bus_demand, fc_cmd, headroom, battery,
-                                     state, fuel_wh, dt, time=t)
+                                     state, fuel_wh, dt, t)
         fc_out = flow.fc_output
         if fc_out > 0.0:
             fuel_wh -= fc_out * dt_h
@@ -245,8 +273,9 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
                 fuel_wh = 0.0
             fc_on_h += dt_h
         fc_series.append(fc_out)
-        delivered_bus += (bus_demand - flow.unmet) * dt_h
-        unmet_bus += flow.unmet * dt_h
+        unmet = flow.unmet
+        delivered_bus += (bus_demand - unmet) * dt_h
+        unmet_bus += unmet * dt_h
         curtailed += flow.curtailed * dt_h
         soc = state.soc
         if soc < soc_low:
@@ -254,7 +283,8 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         elif soc > soc_high:
             soc_high = soc
 
-        if flow.unmet > max(unmet_fraction * bus_demand, 1e-9):
+        # shortfall above both unmet_fraction of demand and 1e-9 W
+        if unmet > 1e-9 and unmet > unmet_fraction * bus_demand:
             if streak_start < 0.0:
                 streak_start = t
                 streak_s = 0.0
@@ -266,8 +296,9 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         else:
             streak_start = -1.0
 
-        if record_flows and n % flow_stride == 0:
+        if n == next_flow:
             flows.append(flow)
+            next_flow += flow_stride
         n += 1
 
     if end_time_s is None:
@@ -275,7 +306,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
 
     ripple = 0.0
     if fc_series:
-        arr = np.asarray(fc_series)
+        arr = np.frombuffer(fc_series)
         steady = arr[arr.size // 2:]
         mean = float(steady.mean())
         if mean > 0.0:

@@ -269,9 +269,9 @@ def system_life(subject, run_time: float | None = None, *,
     as a steady load does).
     """
     if isinstance(subject, SizingResult):
-        if subject.mode == MODE_BATTERY:
-            rt = subject.run_time if run_time is None else run_time
-            return 1000.0 * rt if rt is not None else subject.system_life
+        if subject.mode == MODE_BATTERY and run_time is not None and subject.run_time > 0.0:
+            # the result's own life over its run-time is the pack's cycle life
+            return subject.system_life / subject.run_time * run_time
         return subject.system_life
     config: HybridConfig = subject
     if config.mode == MODE_BATTERY:

@@ -178,6 +178,14 @@ class TestExitCodes:
         assert main(["simulate", "--profile", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt", ["nan", "inf", "0"])
+    def test_bad_dt(self, tmp_path, capsys, dt):
+        profile = flat_profile_file(tmp_path)
+        assert main(["simulate", "--profile", str(profile), "--loop", "--dt", dt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: dt must be")
+
     def test_missing_profile_file(self, tmp_path, capsys):
         assert main(["simulate", "--profile", str(tmp_path / "nope.csv")]) == 2
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fchybrid import presets
+from fchybrid import controller, presets, simulator
 from fchybrid.controller import ControllerParams
 from fchybrid.errors import ValidationError
 from fchybrid.powertrain import (
@@ -19,6 +19,7 @@ from fchybrid.simulator import (
     FUEL_EXHAUSTED,
     MODE_BATTERY,
     MODE_DIRECT,
+    MODE_HYBRID,
     PROFILE_ENDED,
     UNMET_DEMAND,
     HybridConfig,
@@ -297,6 +298,110 @@ class TestFlowRecording:
     def test_stride_validation(self):
         with pytest.raises(ValidationError):
             simulate(presets.hybrid_config(), flat(45.0), flow_stride=0)
+
+
+class TestInputValidation:
+    """Non-finite or out-of-range run settings are rejected before the
+    first step; a NaN dt or guard would otherwise loop forever or switch
+    a termination off."""
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_dt(self, dt):
+        with pytest.raises(ValidationError, match="dt"):
+            simulate(presets.hybrid_config(), flat(45.0), dt=dt)
+
+    @pytest.mark.parametrize("grace_s", [math.nan, math.inf, -1.0])
+    def test_grace_s(self, grace_s):
+        with pytest.raises(ValidationError, match="grace_s"):
+            simulate(presets.hybrid_config(), flat(45.0), dt=1.0, grace_s=grace_s)
+
+    @pytest.mark.parametrize("fraction", [math.nan, math.inf, -0.01, 1.5])
+    def test_unmet_fraction(self, fraction):
+        with pytest.raises(ValidationError, match="unmet_fraction"):
+            simulate(presets.hybrid_config(), flat(45.0), dt=1.0,
+                     unmet_fraction=fraction)
+
+    @pytest.mark.parametrize("loop", [False, True])
+    @pytest.mark.parametrize("max_hours", [math.nan, math.inf, 0.0, -1.0])
+    def test_max_hours(self, max_hours, loop):
+        with pytest.raises(ValidationError, match="max_hours"):
+            simulate(presets.hybrid_config(), flat(45.0), dt=1.0,
+                     loop_profile=loop, max_hours=max_hours)
+
+    def test_range_ends_accepted(self):
+        res = simulate(presets.hybrid_config(), flat(45.0, duration=10.0), dt=1.0,
+                       grace_s=0.0, unmet_fraction=1.0, max_hours=1.0)
+        assert res.termination == PROFILE_ENDED
+        res = simulate(presets.hybrid_config(), flat(45.0, duration=10.0), dt=1.0,
+                       unmet_fraction=0.0)
+        assert res.steps == 10
+
+
+class TestStepPathContract:
+    """simulate steps through the public step functions, looked up by
+    module name, exactly once per step: the laws have one implementation,
+    and the benchmark's traced run replays the calls it records here."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {"dispatched": [], "acceptance": 0, "battery_step": 0}
+        dispatch_power = simulator.dispatch_power
+        acceptance = simulator.battery_charge_acceptance
+        battery_step = controller.battery_step
+
+        def counting_dispatch(*args, **kwargs):
+            flow, state = dispatch_power(*args, **kwargs)
+            seen["dispatched"].append(flow)
+            return flow, state
+
+        def counting_acceptance(*args, **kwargs):
+            seen["acceptance"] += 1
+            return acceptance(*args, **kwargs)
+
+        def counting_step(*args, **kwargs):
+            seen["battery_step"] += 1
+            return battery_step(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "dispatch_power", counting_dispatch)
+        monkeypatch.setattr(simulator, "battery_charge_acceptance", counting_acceptance)
+        monkeypatch.setattr(controller, "battery_step", counting_step)
+        return seen
+
+    def check(self, calls, mode, res):
+        assert len(calls["dispatched"]) == res.steps
+        assert calls["battery_step"] == res.steps
+        assert calls["acceptance"] == (res.steps if mode == MODE_HYBRID else 0)
+
+    @pytest.mark.parametrize("make_config", [presets.hybrid_config,
+                                             presets.direct_fc_config,
+                                             presets.nimh_config])
+    def test_once_per_step_with_every_flow_recorded(self, calls, make_config):
+        cfg = make_config()
+        profile = synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=30.0))
+        res = simulate(cfg, profile, dt=0.05, record_flows=True, flow_stride=1)
+        assert res.termination == PROFILE_ENDED
+        self.check(calls, cfg.mode, res)
+        assert res.flows == calls["dispatched"]
+
+    @pytest.mark.parametrize("make_config, ending", [
+        (lambda: tiny_hybrid(fuel_wh=0.5, capacity_wh=0.2), FUEL_EXHAUSTED),
+        (lambda: HybridConfig(stack=FuelCellStackSpec.from_power(90.0), battery=NO_BATTERY,
+                              tank=FuelTankSpec(fuel_mass=0.0001),
+                              mode=MODE_DIRECT), FUEL_EXHAUSTED),
+        (lambda: HybridConfig(stack=FuelCellStackSpec(rated_power=0.0, mass=0.0),
+                              battery=small_battery(0.5, 100.0),
+                              tank=FuelTankSpec(fuel_mass=0.0),
+                              mode=MODE_BATTERY), BATTERY_DEPLETED),
+    ], ids=[MODE_HYBRID, MODE_DIRECT, MODE_BATTERY])
+    def test_looped_run_until_the_supply_dies(self, calls, make_config, ending):
+        cfg = make_config()
+        profile = synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=20.0))
+        res = simulate(cfg, profile, dt=0.1, loop_profile=True, record_flows=True,
+                       flow_stride=1)
+        assert res.termination == ending
+        assert res.run_time * 3600.0 > profile.duration  # the profile wrapped
+        self.check(calls, cfg.mode, res)
+        assert res.flows == calls["dispatched"]
 
 
 class TestRunTimeConstantLoad:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,14 @@ class TestSystemLife:
         pack = size_battery_only(presets.NIMH_TEMPLATE, 1.2, 16.0)
         assert system_life(pack) == 3000.0
         assert system_life(pack, 5.0) == 5000.0
+
+    def test_battery_sizing_keeps_the_pack_cycle_life(self):
+        template = replace(presets.NIMH_TEMPLATE, cycle_life=500.0)
+        pack = size_battery_only(template, 1.2, 4.8)
+        assert pack.run_time == 10.0
+        assert pack.system_life == 5000.0
+        assert system_life(pack) == 5000.0
+        assert system_life(pack, 4.0) == 2000.0
 
     def test_battery_config_needs_run_time(self):
         cfg = presets.nimh_config()
