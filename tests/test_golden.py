@@ -4,6 +4,9 @@ Each scenario runs one supply against one profile, once or looped, and
 hashes ``emit(res, "json") + emit(res, "csv")``. The digests were taken
 before the step path was last reworked; a change that alters any emitted
 byte of any scenario fails here and has to say why its reports change.
+``REPORT_GOLDEN`` does the same for every other record ``emit`` writes:
+sizings, comparison rows, profile statistics, the empty row list, and
+results built from int inputs, which still emit quantized floats.
 
 The scenarios cross the four presets (all three modes) and a lossy hybrid
 (non-unit converter and battery efficiencies, a raised SOC floor, reduced
@@ -23,8 +26,10 @@ from fchybrid import presets
 from fchybrid.controller import ControllerParams
 from fchybrid.powertrain import ElectronicsSpec
 from fchybrid.profile import GaitParams, PowerProfile, synthesize_walk_profile
-from fchybrid.report import emit
+from fchybrid.profile import profile_stats
+from fchybrid.report import compare, emit
 from fchybrid.simulator import simulate
+from fchybrid.sizing import SizingInputs, size_battery_only, size_hybrid
 
 
 def lossy_hybrid_config():
@@ -82,8 +87,8 @@ def run_scenario(config_name, profile_name, looped):
     return simulate(cfg, make_profile(), dt=dt, loop_profile=True, initial_soc=soc)
 
 
-def report_digest(res):
-    text = emit(res, "json") + emit(res, "csv")
+def report_digest(obj):
+    text = emit(obj, "json") + emit(obj, "csv")
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -131,3 +136,56 @@ def test_report_digest(scenario):
 def test_scenarios_cover_every_combination():
     assert sorted(GOLDEN) == sorted(f"{c}-{p}-{r}" for c in CONFIGS for p in PROFILES
                                     for r in ("once", "looped"))
+
+
+PRESET_CONFIGS = (presets.nimh_config, presets.liion_config,
+                  presets.direct_fc_config, presets.hybrid_config)
+
+REPORTS = {
+    "sizings-table1": presets.comparison_sizings,
+    "sizing-nimh": presets.nimh_sizing,
+    "sizing-liion": presets.liion_sizing,
+    "sizing-direct": presets.direct_fc_sizing,
+    "sizing-hybrid": presets.hybrid_sizing,
+    # over budget, and an hour at 100 W outruns the pack: two warnings
+    "sizing-infeasible": lambda: size_hybrid(
+        SizingInputs(0.2, 45.0, 250.0),
+        profile=PowerProfile(times=np.array([0.0, 3600.0]), power=np.array([100.0, 100.0]))),
+    "sizing-int-inputs": lambda: size_battery_only(presets.NIMH_TEMPLATE, 1, 16),
+    "compare-table1": lambda: compare(presets.comparison_sizings()),
+    "compare-configs": lambda: compare([make() for make in PRESET_CONFIGS]),
+    "rows-empty": lambda: [],
+    "stats-gait": lambda: profile_stats(gait_profile()),
+    "stats-flat": lambda: profile_stats(flat_profile()),
+    "stats-spike": lambda: profile_stats(spike_profile()),
+    "sim-int-dt": lambda: simulate(presets.hybrid_config(), flat_profile(), dt=1),
+    "sim-int-dt-flows": lambda: simulate(presets.hybrid_config(), flat_profile(), dt=1,
+                                         record_flows=True, flow_stride=7),
+}
+
+REPORT_GOLDEN = {
+    "sizings-table1": "467477c3971ec2b7d5d0eda5f1623f497b8d079b696fed0e8e0e6edc073b8dd9",
+    "sizing-nimh": "6332214b0b26a4133d0c55f4d18a13b25c70498b0888f8a97d2693f49565bd77",
+    "sizing-liion": "0bc86bb98775f395fdbc4529d367b7a3f8f277ec4ba5b5dbbb86c160625de39f",
+    "sizing-direct": "a7a7b124cbb4d48b3a4793012d964bba2fa73d0b984fffb407a3fddebc75bfe2",
+    "sizing-hybrid": "bbfb8d4c3041de72fe8f6c4dfc01f018eb1d8667dc8b9c0458adb580ee01f5f7",
+    "sizing-infeasible": "2f19bf4f4307cfd6147b7fd27c2864f3b1e1c48e457049ba5cdd6020c88940e2",
+    "sizing-int-inputs": "73c6ba17748b8e5987eba08d4be3e90db5b7d305fd07c7bf4408ba58f9888c0d",
+    "compare-table1": "96c1656d05f26ae3f4e8d802995fd798424cdfbcc53ebe3b0494e51d4a827a95",
+    "compare-configs": "14faa0d9af2d5185f588b2433259bbc06982eec4910860a0c0317a65d8f4e6c8",
+    "rows-empty": "c17570ad2dc642b11f733cce8555c7d79fb562dedb2b032cd9ab366be0d26e14",
+    "stats-gait": "f5351efc195bacd168f8071156ea8ec77bd488e5e5cd3ef0258557ab4534544c",
+    "stats-flat": "1db315f29164a36dd5d1a72304b28919cc5a1bf22cd0c85766e7361671134ebd",
+    "stats-spike": "b343cd8eecc58b8fbe0c83de6bf89eae03e5dee8486fc5cd3d6b56d959b72c3e",
+    "sim-int-dt": "ebbdcc6c4685bd38677e102a720c04e259bb1e280d0716a4fef767289fe8abfa",
+    "sim-int-dt-flows": "f36bf67189bcf916d6f5928f42fb75afe6f90d55a156adfb0abbe1d1d4368bf7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
+def test_other_report_digest(name):
+    assert report_digest(REPORTS[name]()) == REPORT_GOLDEN[name]
+
+
+def test_every_report_has_a_digest():
+    assert sorted(REPORT_GOLDEN) == sorted(REPORTS)
