@@ -314,8 +314,9 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
 
     fc_damage = 0.0
     if has_fuel_path and fc_on_h > 0.0:
-        fc_damage = fc_on_h / fc_life(config.stack.cell_voltage, ripple,
-                                      config.degradation)
+        # a large enough ripple drives the life law's exponential to 0.0
+        life = fc_life(config.stack.cell_voltage, ripple, config.degradation)
+        fc_damage = fc_on_h / life if life > 0.0 else math.inf
 
     consumed_wh = fuel_wh_initial - fuel_wh
     se = tank.specific_energy_electric

@@ -300,6 +300,17 @@ class TestFlowRecording:
             simulate(presets.hybrid_config(), flat(45.0), flow_stride=0)
 
 
+class TestStackLifeUnderflow:
+    def test_zero_life_is_infinite_damage(self):
+        # 0 W for almost the whole profile, then 2.12 W: the second half of
+        # the stack output swings hundreds of times its mean
+        profile = steps([0.0, 9.99, 10.0], [0.0, 2.12, 2.12])
+        res = simulate(presets.hybrid_config(), profile, dt=0.01)
+        assert res.termination == PROFILE_ENDED
+        assert res.ripple > 400.0
+        assert res.fc_damage == math.inf
+
+
 class TestInputValidation:
     """Non-finite or out-of-range run settings are rejected before the
     first step; a NaN dt or guard would otherwise loop forever or switch
