@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .powertrain import BatterySpec, BatteryState, battery_step
 
 
@@ -27,6 +27,7 @@ class ControllerParams:
     trickle_headroom: float = 1.0  # charge power cap as fraction of pack max
 
     def __post_init__(self):
+        require_finite(self)
         if self.fc_setpoint < 0:
             raise ValidationError("fc_setpoint must be >= 0")
         if self.filter_time_constant <= 0:

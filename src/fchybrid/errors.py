@@ -3,10 +3,14 @@
 The CLI maps these onto stable exit codes, so keep the hierarchy flat:
 ValidationError covers bad inputs and broken invariants, ProfileParseError
 adds a line number for malformed CSV, InfeasibleError marks sizing or
-optimization problems with an empty feasible set.
+optimization problems with an empty feasible set. require_finite is the
+one check every spec's validator shares.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import fields
 
 
 class ValidationError(ValueError):
@@ -29,3 +33,16 @@ class InfeasibleError(Exception):
     def __init__(self, message: str, binding_constraint: str = ""):
         super().__init__(message)
         self.binding_constraint = binding_constraint
+
+
+def require_finite(spec) -> None:
+    """Reject a dataclass whose init fields hold a NaN or infinite float.
+
+    Range checks such as ``x < 0`` are false for NaN, so each spec's
+    ``__post_init__`` calls this before them.
+    """
+    for f in fields(spec):
+        if f.init:
+            value = getattr(spec, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 IDEAL_CELL_VOLTAGE = 1.23  # V, reversible cell potential
 STACK_SPECIFIC_POWER = 300.0  # W/kg, rated output per stack mass
@@ -39,6 +39,7 @@ class FuelCellStackSpec:
     specific_power: float = STACK_SPECIFIC_POWER  # W/kg
 
     def __post_init__(self):
+        require_finite(self)
         if self.rated_power < 0:
             raise ValidationError("rated_power must be >= 0")
         if self.mass < 0:
@@ -75,6 +76,7 @@ class DegradationParams:
     ripple_gain: float = 0.15  # V of effective stress per unit relative ripple
 
     def __post_init__(self):
+        require_finite(self)
         if self.ref_voltage <= 0:
             raise ValidationError("ref_voltage must be > 0")
         if self.ref_life <= 0:
@@ -103,6 +105,7 @@ class BatterySpec:
     max_power_w: float = field(init=False, repr=False, compare=False)  # W
 
     def __post_init__(self):
+        require_finite(self)
         if self.mass < 0:
             raise ValidationError("battery mass must be >= 0")
         if self.specific_energy < 0:
@@ -243,6 +246,7 @@ class FuelTankSpec:
     specific_energy_electric: float = 4950.0  # Wh/kg delivered as electricity
 
     def __post_init__(self):
+        require_finite(self)
         if self.fuel_mass < 0:
             raise ValidationError("fuel_mass must be >= 0")
         if self.specific_energy_electric < 0:
@@ -255,6 +259,7 @@ class ElectronicsSpec:
     converter_efficiency: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.mass < 0:
             raise ValidationError("electronics mass must be >= 0")
         if not 0.0 < self.converter_efficiency <= 1.0:

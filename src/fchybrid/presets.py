@@ -79,31 +79,21 @@ def comparison_sizings() -> list[SizingResult]:
     return [nimh_sizing(), liion_sizing(), direct_fc_sizing(), hybrid_sizing()]
 
 
-def _template_for(result: SizingResult) -> BatterySpec:
-    if result.label.startswith("NiMH"):
-        return NIMH_TEMPLATE
-    if result.label.startswith("Li-ion"):
-        return LIION_TEMPLATE
-    return NANO_TEMPLATE
-
-
-def preset_config(result: SizingResult) -> HybridConfig:
-    """Simulatable configuration for one of the preset sizings."""
-    return config_from_sizing(result, constants=CONSTANTS,
-                              battery_template=_template_for(result))
-
-
 def nimh_config() -> HybridConfig:
-    return preset_config(nimh_sizing())
+    return config_from_sizing(nimh_sizing(), constants=CONSTANTS,
+                              battery_template=NIMH_TEMPLATE)
 
 
 def liion_config() -> HybridConfig:
-    return preset_config(liion_sizing())
+    return config_from_sizing(liion_sizing(), constants=CONSTANTS,
+                              battery_template=LIION_TEMPLATE)
 
 
 def direct_fc_config() -> HybridConfig:
-    return preset_config(direct_fc_sizing())
+    return config_from_sizing(direct_fc_sizing(), constants=CONSTANTS,
+                              battery_template=NANO_TEMPLATE)
 
 
 def hybrid_config() -> HybridConfig:
-    return preset_config(hybrid_sizing())
+    return config_from_sizing(hybrid_sizing(), constants=CONSTANTS,
+                              battery_template=NANO_TEMPLATE)

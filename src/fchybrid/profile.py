@@ -21,7 +21,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .errors import ProfileParseError, ValidationError
+from .errors import ProfileParseError, ValidationError, require_finite
 
 CSV_HEADER = "time_s,power_w"
 
@@ -112,6 +112,7 @@ class GaitParams:
     duration: float = 3600.0  # s
 
     def __post_init__(self):
+        require_finite(self)
         if self.base_load < 0:
             raise ValidationError("base_load must be >= 0")
         if self.gait_period <= 0:

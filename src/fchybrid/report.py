@@ -7,8 +7,10 @@ so re-running a report on the same inputs gives byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
+from .controller import EnergyFlow
 from .errors import ValidationError
 from .profile import ProfileStats
 from .simulator import (
@@ -18,10 +20,6 @@ from .simulator import (
     run_time_constant_load,
 )
 from .sizing import SizingResult, system_life
-
-COMPARISON_CSV_HEADER = ("label,stack_mass_kg,fuel_mass_kg,"
-                         "energy_density_wh_per_kg,system_life_h,run_time_h,"
-                         "load_basis_w,feasible_at_peak")
 
 
 @dataclass(slots=True)
@@ -103,125 +101,95 @@ def compare(entries, peak_power: float = 250.0,
     return rows
 
 
+def _table(cls, *pairs: tuple[str, str]) -> tuple:
+    """A record's emitted layout: its keys in order, an attrgetter of the
+    matching attributes, and whether each is quantized, which the field
+    decides by being annotated a float."""
+    types = {f.name: f.type for f in fields(cls)}
+    attrs = [attr for _, attr in pairs]
+    return (tuple(key for key, _ in pairs), attrgetter(*attrs),
+            tuple(types[attr].startswith("float") for attr in attrs))
+
+
+SIMULATION = _table(
+    SimulationResult,
+    ("run_time_h", "run_time"), ("termination", "termination"),
+    ("fuel_consumed_kg", "fuel_consumed"), ("energy_delivered_wh", "energy_delivered"),
+    ("unmet_energy_wh", "unmet_energy"), ("curtailed_energy_wh", "curtailed_energy"),
+    ("battery_cycles", "battery_cycles"), ("fc_damage", "fc_damage"), ("ripple", "ripple"),
+    ("battery_discharge_wh", "battery_discharge"), ("battery_charge_wh", "battery_charge"),
+    ("soc_initial", "soc_initial"), ("soc_final", "soc_final"), ("steps", "steps"),
+    ("dt_s", "dt"))
+FLOW = _table(
+    EnergyFlow,
+    ("time_s", "time"), ("demand_w", "demand"), ("fc_output_w", "fc_output"),
+    ("battery_power_w", "battery_power"), ("unmet_w", "unmet"),
+    ("curtailed_w", "curtailed"), ("soc", "soc"))
+SIZING = _table(
+    SizingResult,
+    ("label", "label"), ("mode", "mode"), ("stack_mass_kg", "stack_mass"),
+    ("battery_mass_kg", "battery_mass"), ("fuel_mass_kg", "fuel_mass"),
+    ("electronics_mass_kg", "electronics_mass"), ("run_time_h", "run_time"),
+    ("system_life_h", "system_life"), ("energy_density_wh_per_kg", "energy_density"),
+    ("system_energy_density_wh_per_kg", "system_energy_density"),
+    ("load_basis_w", "load_basis"), ("peak_capability_w", "peak_capability"),
+    ("feasible", "feasible"), ("warnings", "warnings"))
+STATS = _table(
+    ProfileStats,
+    ("average_power_w", "average_power"), ("peak_power_w", "peak_power"),
+    ("idle_fraction", "idle_fraction"), ("duration_s", "duration"), ("energy_wh", "energy"))
+ROW = _table(
+    ComparisonRow,
+    ("label", "label"), ("stack_mass_kg", "stack_mass"), ("fuel_mass_kg", "fuel_mass"),
+    ("energy_density_wh_per_kg", "energy_density"), ("system_life_h", "system_life"),
+    ("run_time_h", "run_time"), ("load_basis_w", "load_basis"),
+    ("feasible_at_peak", "feasible_at_peak"))
+
+COMPARISON_CSV_HEADER = ",".join(ROW[0])
+
+
 def _q6(x: float) -> float:
     """Quantize to the 6-significant-digit emission precision."""
     return float(f"{x:.6g}")
 
 
-def _f6(x: float | None) -> str:
-    return "" if x is None else f"{x:.6g}"
+def _payload(obj, table) -> dict:
+    keys, get, quantized = table
+    return {key: _q6(v) if q and v is not None else v
+            for key, q, v in zip(keys, quantized, get(obj))}
 
 
-def _sim_payload(result: SimulationResult) -> dict:
-    payload = {
-        "run_time_h": _q6(result.run_time),
-        "termination": result.termination,
-        "fuel_consumed_kg": _q6(result.fuel_consumed),
-        "energy_delivered_wh": _q6(result.energy_delivered),
-        "unmet_energy_wh": _q6(result.unmet_energy),
-        "curtailed_energy_wh": _q6(result.curtailed_energy),
-        "battery_cycles": _q6(result.battery_cycles),
-        "fc_damage": _q6(result.fc_damage),
-        "ripple": _q6(result.ripple),
-        "battery_discharge_wh": _q6(result.battery_discharge),
-        "battery_charge_wh": _q6(result.battery_charge),
-        "soc_initial": _q6(result.soc_initial),
-        "soc_final": _q6(result.soc_final),
-        "steps": result.steps,
-        "dt_s": _q6(result.dt),
-    }
-    if result.flows:
-        payload["flows"] = [
-            {
-                "time_s": _q6(f.time),
-                "demand_w": _q6(f.demand),
-                "fc_output_w": _q6(f.fc_output),
-                "battery_power_w": _q6(f.battery_power),
-                "unmet_w": _q6(f.unmet),
-                "curtailed_w": _q6(f.curtailed),
-                "soc": _q6(f.soc),
-            }
-            for f in result.flows
-        ]
-    return payload
-
-
-def _sizing_payload(result: SizingResult) -> dict:
-    return {
-        "label": result.label,
-        "mode": result.mode,
-        "stack_mass_kg": _q6(result.stack_mass),
-        "battery_mass_kg": _q6(result.battery_mass),
-        "fuel_mass_kg": _q6(result.fuel_mass),
-        "electronics_mass_kg": _q6(result.electronics_mass),
-        "run_time_h": _q6(result.run_time),
-        "system_life_h": _q6(result.system_life),
-        "energy_density_wh_per_kg": _q6(result.energy_density),
-        "system_energy_density_wh_per_kg": _q6(result.system_energy_density),
-        "load_basis_w": _q6(result.load_basis),
-        "peak_capability_w": _q6(result.peak_capability),
-        "feasible": result.feasible,
-        "warnings": list(result.warnings),
-    }
-
-
-def _stats_payload(stats: ProfileStats) -> dict:
-    return {
-        "average_power_w": _q6(stats.average_power),
-        "peak_power_w": _q6(stats.peak_power),
-        "idle_fraction": _q6(stats.idle_fraction),
-        "duration_s": _q6(stats.duration),
-        "energy_wh": _q6(stats.energy),
-    }
-
-
-def _row_payload(row: ComparisonRow) -> dict:
-    return {
-        "label": row.label,
-        "stack_mass_kg": None if row.stack_mass is None else _q6(row.stack_mass),
-        "fuel_mass_kg": None if row.fuel_mass is None else _q6(row.fuel_mass),
-        "energy_density_wh_per_kg": _q6(row.energy_density),
-        "system_life_h": _q6(row.system_life),
-        "run_time_h": _q6(row.run_time),
-        "load_basis_w": _q6(row.load_basis),
-        "feasible_at_peak": row.feasible_at_peak,
-    }
-
-
-def _rows_csv(rows: list[ComparisonRow]) -> str:
-    lines = [COMPARISON_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            r.label,
-            _f6(r.stack_mass),
-            _f6(r.fuel_mass),
-            _f6(r.energy_density),
-            _f6(r.system_life),
-            _f6(r.run_time),
-            _f6(r.load_basis),
-            "true" if r.feasible_at_peak else "false",
-        ]))
-    return "\n".join(lines) + "\n"
+def _text(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
 
 
 def _kv_csv(payload: dict) -> str:
     lines = ["key,value"]
     for k, v in payload.items():
-        if isinstance(v, list):
-            continue
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        lines.append(f"{k},{v}")
+        if not isinstance(v, list):
+            lines.append(f"{k},{_text(v)}")
     return "\n".join(lines) + "\n"
 
 
-def _flows_csv(result: SimulationResult) -> str:
-    lines = ["time_s,demand_w,fc_output_w,battery_power_w,unmet_w,curtailed_w,soc"]
-    for f in result.flows:
-        lines.append(",".join(f"{v:.6g}" for v in (
-            f.time, f.demand, f.fc_output, f.battery_power,
-            f.unmet, f.curtailed, f.soc)))
+def _rows_csv(rows: list[ComparisonRow]) -> str:
+    _, get, quantized = ROW
+    lines = [COMPARISON_CSV_HEADER]
+    for r in rows:
+        lines.append(",".join(("" if v is None else f"{v:.6g}") if q else _text(v)
+                              for q, v in zip(quantized, get(r))))
     return "\n".join(lines) + "\n"
+
+
+def _flows_csv(flows: list[EnergyFlow]) -> str:
+    keys, get, _ = FLOW
+    row = ",".join(["%.6g"] * len(keys))
+    return "\n".join([",".join(keys), *(row % get(f) for f in flows)]) + "\n"
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def emit(obj, fmt: str = "json") -> str:
@@ -234,22 +202,21 @@ def emit(obj, fmt: str = "json") -> str:
     if fmt not in ("json", "csv"):
         raise ValidationError("format must be 'json' or 'csv'")
     if isinstance(obj, list) and all(isinstance(r, ComparisonRow) for r in obj):
-        if fmt == "csv":
-            return _rows_csv(obj)
-        return json.dumps([_row_payload(r) for r in obj], indent=2) + "\n"
-    if isinstance(obj, SimulationResult):
-        if fmt == "csv":
-            return _flows_csv(obj) if obj.flows else _kv_csv(_sim_payload(obj))
-        return json.dumps(_sim_payload(obj), indent=2) + "\n"
-    if isinstance(obj, SizingResult):
-        payload = _sizing_payload(obj)
-        return _kv_csv(payload) if fmt == "csv" else json.dumps(payload, indent=2) + "\n"
-    if isinstance(obj, ProfileStats):
-        payload = _stats_payload(obj)
-        return _kv_csv(payload) if fmt == "csv" else json.dumps(payload, indent=2) + "\n"
+        return _rows_csv(obj) if fmt == "csv" else _json([_payload(r, ROW) for r in obj])
     if isinstance(obj, list) and all(isinstance(r, SizingResult) for r in obj):
-        payloads = [_sizing_payload(r) for r in obj]
-        if fmt == "csv":
-            return "".join(_kv_csv(p) for p in payloads)
-        return json.dumps(payloads, indent=2) + "\n"
-    raise ValidationError(f"cannot emit a {type(obj).__name__}")
+        payloads = [_payload(r, SIZING) for r in obj]
+        return "".join(map(_kv_csv, payloads)) if fmt == "csv" else _json(payloads)
+    if isinstance(obj, SimulationResult):
+        if fmt == "csv" and obj.flows:
+            return _flows_csv(obj.flows)
+        payload = _payload(obj, SIMULATION)
+        if fmt == "json" and obj.flows:
+            keys, get, _ = FLOW  # every flow field is a float, so all are quantized
+            payload["flows"] = [dict(zip(keys, map(_q6, get(f)))) for f in obj.flows]
+    elif isinstance(obj, SizingResult):
+        payload = _payload(obj, SIZING)
+    elif isinstance(obj, ProfileStats):
+        payload = _payload(obj, STATS)
+    else:
+        raise ValidationError(f"cannot emit a {type(obj).__name__}")
+    return _kv_csv(payload) if fmt == "csv" else _json(payload)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, require_finite
 from .powertrain import BatterySpec, DegradationParams, FuelCellStackSpec, \
     FuelTankSpec, ElectronicsSpec, fc_life
 from .profile import PowerProfile
@@ -55,6 +55,7 @@ class SizingConstants:
     electronics_mass: float = 0.115  # kg
 
     def __post_init__(self):
+        require_finite(self)
         if self.stack_specific_power <= 0:
             raise ValidationError("stack_specific_power must be > 0")
         if self.battery_specific_power <= 0:
@@ -75,6 +76,7 @@ class SizingInputs:
     constants: SizingConstants = SizingConstants()
 
     def __post_init__(self):
+        require_finite(self)
         if self.mass_budget <= 0:
             raise ValidationError("mass_budget must be > 0")
         if self.steady_power < 0:

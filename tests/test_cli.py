@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,6 +90,13 @@ class TestSimulateCommand:
                      "--initial-soc", "0.5"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["soc_initial"] == 0.5
+
+    def test_ripple_that_exhausts_the_stack_life(self, tmp_path, capsys):
+        profile = tmp_path / "ramp.csv"
+        profile.write_text("time_s,power_w\n0,0\n9.99,2.12\n10,2.12\n")
+        assert main(["simulate", "--profile", str(profile), "--dt", "0.01"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["fc_damage"] == math.inf
 
 
 class TestSizeCommand:
@@ -185,6 +193,33 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: dt must be")
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "synth", "--duration", "nan"],
+        ["profile", "synth", "--mech-peak", "inf"],
+        ["size", "--budget", "nan"],
+        ["size", "--steady", "inf"],
+    ], ids=["synth-duration", "synth-mech-peak", "size-budget", "size-steady"])
+    def test_non_finite_flag(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("text, named", [
+        ("[fuel_tank]\nfuel_mass = nan\n", "[fuel_tank] fuel_mass must be finite"),
+        ("[fuel_tank]\nfuel_mas = 0.5\n", "[fuel_tank] unknown key 'fuel_mas'"),
+        ("[bogus]\n", "unknown section [bogus]"),
+    ], ids=["non-finite", "unknown-key", "unknown-section"])
+    def test_bad_config_entry_on_a_looped_run(self, tmp_path, capsys, text, named):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        profile = flat_profile_file(tmp_path)
+        assert main(["simulate", "--config", str(ini), "--profile", str(profile),
+                     "--loop"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
 
     def test_missing_profile_file(self, tmp_path, capsys):
         assert main(["simulate", "--profile", str(tmp_path / "nope.csv")]) == 2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -162,3 +163,67 @@ electronics_mass = 0.2
     def test_invalid_combination_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             load_sizing_inputs(peak_power=10.0)  # below the steady default
+
+
+# the INI key of each field whose key carries its unit
+UNIT_KEYS = {"fc_setpoint": "fc_setpoint_w", "filter_time_constant": "filter_time_constant_s"}
+SUPPLY_SECTIONS = {"fuel_cell": "stack", "battery": "battery", "fuel_tank": "tank",
+                   "electronics": "electronics", "controller": "controller",
+                   "degradation": "degradation"}
+
+
+def supply_text(cfg):
+    """Every field of a configuration, written out section by section."""
+    lines = ["[system]", f"mode = {cfg.mode}"]
+    for section, attr in SUPPLY_SECTIONS.items():
+        part = getattr(cfg, attr)
+        lines.append(f"[{section}]")
+        lines.extend(f"{UNIT_KEYS.get(f.name, f.name)} = {getattr(part, f.name)}"
+                     for f in fields(part) if f.init)
+    return "\n".join(lines) + "\n"
+
+
+class TestStrictKeys:
+    @pytest.mark.parametrize("make", [presets.nimh_config, presets.liion_config,
+                                      presets.direct_fc_config, presets.hybrid_config])
+    def test_every_field_round_trips(self, tmp_path, make):
+        cfg = make()
+        assert load_supply_config(write(tmp_path, supply_text(cfg))) == cfg
+
+    def test_unknown_key_names_section_and_key(self, tmp_path):
+        with pytest.raises(ValidationError) as err:
+            load_supply_config(write(tmp_path, "[fuel_tank]\nfuel_mas = 3\n"))
+        assert "[fuel_tank]" in str(err.value) and "'fuel_mas'" in str(err.value)
+        with pytest.raises(ValidationError) as err:
+            load_sizing_inputs(write(tmp_path, "[sizing]\nmass_budge = 2\n"))
+        assert "[sizing]" in str(err.value) and "'mass_budge'" in str(err.value)
+
+    def test_field_name_is_not_a_unit_key(self, tmp_path):
+        with pytest.raises(ValidationError) as err:
+            load_supply_config(write(tmp_path, "[controller]\nfc_setpoint = 40\n"))
+        assert "fc_setpoint_w" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["[bogus]\n", "[DEFAULT]\n", "[DEFAULT]\nmass = 3\n"])
+    @pytest.mark.parametrize("load", [load_supply_config, load_sizing_inputs])
+    def test_unknown_section_rejected(self, tmp_path, text, load):
+        with pytest.raises(ValidationError) as err:
+            load(write(tmp_path, text))
+        assert text.split("\n")[0] in str(err.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_section_and_key(self, tmp_path, value):
+        with pytest.raises(ValidationError) as err:
+            load_supply_config(write(tmp_path, f"[fuel_tank]\nfuel_mass = {value}\n"))
+        assert "[fuel_tank] fuel_mass must be finite" in str(err.value)
+        with pytest.raises(ValidationError) as err:
+            load_sizing_inputs(write(tmp_path, f"[sizing]\nfuel_specific_energy = {value}\n"))
+        assert "[sizing] fuel_specific_energy must be finite" in str(err.value)
+
+    def test_one_file_holds_supply_and_sizing(self, tmp_path):
+        path = write(tmp_path, "[sizing]\nmass_budget = 2.0\n\n[fuel_tank]\nfuel_mass = 0.5\n")
+        assert load_supply_config(path).tank.fuel_mass == 0.5
+        assert load_sizing_inputs(path).mass_budget == 2.0
+
+    def test_percent_sign_is_plain_text(self, tmp_path):
+        cfg = load_supply_config(write(tmp_path, "[battery]\nchemistry = LiFePO4 100%\n"))
+        assert cfg.battery.chemistry == "LiFePO4 100%"

@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from fchybrid import presets
 from fchybrid.errors import ValidationError
 from fchybrid.powertrain import (
     IDEAL_CELL_VOLTAGE,
@@ -19,6 +21,7 @@ from fchybrid.powertrain import (
     fc_life,
     fuel_energy,
 )
+from fchybrid.profile import GaitParams
 
 
 def pack(capacity_wh=10.0, power_w=1000.0, eta_c=1.0, eta_d=1.0,
@@ -356,3 +359,27 @@ class TestTankAndElectronics:
             ElectronicsSpec(converter_efficiency=0.0)
         with pytest.raises(ValidationError):
             ElectronicsSpec(converter_efficiency=1.1)
+
+
+def spec_fields():
+    """(spec, field) for every float init field of every validated spec."""
+    cfg = presets.hybrid_config()
+    specs = [cfg.stack, cfg.battery, cfg.tank, cfg.electronics, cfg.controller,
+             cfg.degradation, presets.CONSTANTS, presets.SIZING_INPUTS, GaitParams()]
+    return [pytest.param(spec, f.name, id=f"{type(spec).__name__}.{f.name}")
+            for spec in specs for f in fields(spec)
+            if f.init and isinstance(getattr(spec, f.name), float)]
+
+
+class TestNonFiniteFields:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("spec, name", spec_fields())
+    def test_rejected_naming_the_field(self, spec, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            replace(spec, **{name: value})
+
+    def test_every_spec_is_covered(self):
+        assert {p.values[0].__class__.__name__ for p in spec_fields()} == {
+            "FuelCellStackSpec", "BatterySpec", "FuelTankSpec", "ElectronicsSpec",
+            "ControllerParams", "DegradationParams", "SizingConstants", "SizingInputs",
+            "GaitParams"}

@@ -175,8 +175,9 @@ class TestInternalConsistency:
         """Each preset sizing's run-time figure must be reproduced exactly
         by the closed-form endurance of the configuration realizing it.
         Fuel-basis figures ignore the pack, so those start at the floor."""
-        for r in presets.comparison_sizings():
-            cfg = presets.preset_config(r)
+        configs = (presets.nimh_config(), presets.liion_config(),
+                   presets.direct_fc_config(), presets.hybrid_config())
+        for r, cfg in zip(presets.comparison_sizings(), configs, strict=True):
             if r.mode == MODE_BATTERY:
                 est = run_time_constant_load(cfg, r.load_basis)
             else:
