@@ -283,7 +283,13 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         elif soc > soc_high:
             soc_high = soc
 
-        # shortfall above both unmet_fraction of demand and 1e-9 W
+        if n == next_flow:
+            flows.append(flow)
+            next_flow += flow_stride
+        n += 1
+
+        # shortfall above both unmet_fraction of demand and 1e-9 W; the
+        # step that completes the grace streak is dispatched, so it counts
         if unmet > 1e-9 and unmet > unmet_fraction * bus_demand:
             if streak_start < 0.0:
                 streak_start = t
@@ -295,11 +301,6 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
                 break
         else:
             streak_start = -1.0
-
-        if n == next_flow:
-            flows.append(flow)
-            next_flow += flow_stride
-        n += 1
 
     if end_time_s is None:
         end_time_s = n * dt if termination != PROFILE_ENDED else min(n * dt, duration_s)

@@ -414,6 +414,17 @@ class TestStepPathContract:
         self.check(calls, cfg.mode, res)
         assert res.flows == calls["dispatched"]
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_unmet_demand_counts_the_step_that_ends_it(self, calls, stride):
+        # 100 W against a 90 W stack: the 5 s grace streak ends on step 5
+        cfg = presets.direct_fc_config()
+        res = simulate(cfg, flat(100.0, duration=60.0), dt=1.0, record_flows=True,
+                       flow_stride=stride)
+        assert res.termination == UNMET_DEMAND
+        assert res.steps == 5
+        self.check(calls, cfg.mode, res)
+        assert res.flows == calls["dispatched"][::stride]
+
 
 class TestRunTimeConstantLoad:
     def test_battery_mode_halves_with_double_load(self):
