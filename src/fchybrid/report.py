@@ -168,7 +168,10 @@ def _text(v) -> str:
 def _kv_csv(payload: dict) -> str:
     lines = ["key,value"]
     for k, v in payload.items():
-        if not isinstance(v, list):
+        if isinstance(v, list):  # a line per item under the singular key, quoted per RFC 4180
+            lines.extend('{},"{}"'.format(k.removesuffix("s"), item.replace('"', '""'))
+                         for item in v)
+        else:
             lines.append(f"{k},{_text(v)}")
     return "\n".join(lines) + "\n"
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -123,6 +125,17 @@ class TestSizeCommand:
         assert main(["size", "--mode", "direct_fc"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert any("peak" in w for w in payload["warnings"])
+
+    def test_csv_keeps_warnings(self, capsys):
+        assert main(["size", "--budget", "0.3", "--format", "csv"]) == 3
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert all(len(row) == 2 for row in rows)
+        assert rows[-1] == ["warning", "stack, battery, and electronics need "
+                                       "0.400 kg, over the 0.300 kg budget"]
+        assert main(["size", "--mode", "direct_fc", "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[-2:] == [["feasible", "true"],
+                             ["warning", "stack rated 90 W cannot meet 250 W peaks"]]
 
     def test_table_emission(self, capsys):
         assert main(["size", "--table1", "--format", "csv"]) == 0
