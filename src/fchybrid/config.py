@@ -1,14 +1,9 @@
 """INI-style configuration files.
 
-Each section of a file maps to one dataclass and its keys are that
-dataclass's init fields; unspecified values fall back to the built-in
-presets, so a minimal file only names what it changes. A supply file
-holds ``[system]`` (the mode) and one section per component, named in
-``_SUPPLY_SECTIONS``; ``[sizing]`` holds the fields of ``SizingInputs``
-and ``SizingConstants``. Two controller keys carry their unit, see
-``_UNIT_KEYS``. A value is read as a string where the default is one and
-as a float otherwise. An unknown section or key, or a ``[DEFAULT]``
-section, raises ValidationError naming it.
+Each section maps to one dataclass and its keys are that dataclass's
+init fields; unset values fall back to the built-in presets, so a file
+only names what it changes. An unknown section or key, ``[DEFAULT]``
+included, raises ValidationError naming it.
 """
 
 from __future__ import annotations
@@ -22,7 +17,8 @@ from .presets import SIZING_INPUTS, hybrid_config
 from .simulator import HybridConfig
 from .sizing import SizingInputs
 
-# section -> the HybridConfig field it sets
+# [system] holds HybridConfig's mode; each other supply section one of its
+# components. [sizing] holds the fields of SizingInputs and SizingConstants.
 _SUPPLY_SECTIONS = {"fuel_cell": "stack", "battery": "battery", "fuel_tank": "tank",
                     "electronics": "electronics", "controller": "controller",
                     "degradation": "degradation"}
@@ -53,26 +49,19 @@ def _read(path) -> configparser.ConfigParser:
 def _changes(cp: configparser.ConfigParser, section: str, *bases) -> list[dict]:
     """For each base dataclass, the init fields the section sets, parsed
     like their default: text for a string, a float for a number."""
-    tables = [{_UNIT_KEYS.get(f.name, f.name): f.name for f in fields(base)
-               if f.init and isinstance(getattr(base, f.name), (str, int, float))}
-              for base in bases]
     changes = [{} for _ in bases]
+    table = {_UNIT_KEYS.get(f.name, f.name): (change, f.name, getattr(base, f.name))
+             for base, change in zip(bases, changes) for f in fields(base)
+             if f.init and isinstance(getattr(base, f.name), (str, int, float))}
     for key, text in cp.items(section) if cp.has_section(section) else ():
-        for base, table, change in zip(bases, tables, changes):
-            name = table.get(key)
-            if name is None:
-                continue
-            if isinstance(getattr(base, name), str):
-                change[name] = text
-            else:
-                try:
-                    change[name] = float(text)
-                except ValueError as exc:
-                    raise ValidationError(f"[{section}] {key}: {exc}") from None
-            break
-        else:
-            raise ValidationError(f"[{section}] unknown key {key!r}, expected one of "
-                                  f"{', '.join(k for t in tables for k in t)}")
+        if key not in table:
+            raise ValidationError(f"[{section}] unknown key {key!r}, "
+                                  f"expected one of {', '.join(table)}")
+        change, name, default = table[key]
+        try:
+            change[name] = text if isinstance(default, str) else float(text)
+        except ValueError as exc:
+            raise ValidationError(f"[{section}] {key}: {exc}") from None
     return changes
 
 

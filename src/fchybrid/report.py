@@ -111,7 +111,7 @@ def _table(cls, *pairs: tuple[str, str]) -> tuple:
             tuple(types[attr].startswith("float") for attr in attrs))
 
 
-SIMULATION = _table(
+_SIMULATION = _table(
     SimulationResult,
     ("run_time_h", "run_time"), ("termination", "termination"),
     ("fuel_consumed_kg", "fuel_consumed"), ("energy_delivered_wh", "energy_delivered"),
@@ -120,12 +120,12 @@ SIMULATION = _table(
     ("battery_discharge_wh", "battery_discharge"), ("battery_charge_wh", "battery_charge"),
     ("soc_initial", "soc_initial"), ("soc_final", "soc_final"), ("steps", "steps"),
     ("dt_s", "dt"))
-FLOW = _table(
+_FLOW = _table(
     EnergyFlow,
     ("time_s", "time"), ("demand_w", "demand"), ("fc_output_w", "fc_output"),
     ("battery_power_w", "battery_power"), ("unmet_w", "unmet"),
     ("curtailed_w", "curtailed"), ("soc", "soc"))
-SIZING = _table(
+_SIZING = _table(
     SizingResult,
     ("label", "label"), ("mode", "mode"), ("stack_mass_kg", "stack_mass"),
     ("battery_mass_kg", "battery_mass"), ("fuel_mass_kg", "fuel_mass"),
@@ -134,18 +134,18 @@ SIZING = _table(
     ("system_energy_density_wh_per_kg", "system_energy_density"),
     ("load_basis_w", "load_basis"), ("peak_capability_w", "peak_capability"),
     ("feasible", "feasible"), ("warnings", "warnings"))
-STATS = _table(
+_STATS = _table(
     ProfileStats,
     ("average_power_w", "average_power"), ("peak_power_w", "peak_power"),
     ("idle_fraction", "idle_fraction"), ("duration_s", "duration"), ("energy_wh", "energy"))
-ROW = _table(
+_ROW = _table(
     ComparisonRow,
     ("label", "label"), ("stack_mass_kg", "stack_mass"), ("fuel_mass_kg", "fuel_mass"),
     ("energy_density_wh_per_kg", "energy_density"), ("system_life_h", "system_life"),
     ("run_time_h", "run_time"), ("load_basis_w", "load_basis"),
     ("feasible_at_peak", "feasible_at_peak"))
 
-COMPARISON_CSV_HEADER = ",".join(ROW[0])
+COMPARISON_CSV_HEADER = ",".join(_ROW[0])
 
 
 def _q6(x: float) -> float:
@@ -168,7 +168,7 @@ def _text(v) -> str:
 def _kv_csv(payload: dict) -> str:
     lines = ["key,value"]
     for k, v in payload.items():
-        if isinstance(v, list):  # a line per item under the singular key, quoted per RFC 4180
+        if isinstance(v, list):  # one quoted line per item, under the singular key
             lines.extend('{},"{}"'.format(k.removesuffix("s"), item.replace('"', '""'))
                          for item in v)
         else:
@@ -177,7 +177,7 @@ def _kv_csv(payload: dict) -> str:
 
 
 def _rows_csv(rows: list[ComparisonRow]) -> str:
-    _, get, quantized = ROW
+    _, get, quantized = _ROW
     lines = [COMPARISON_CSV_HEADER]
     for r in rows:
         lines.append(",".join(("" if v is None else f"{v:.6g}") if q else _text(v)
@@ -186,7 +186,7 @@ def _rows_csv(rows: list[ComparisonRow]) -> str:
 
 
 def _flows_csv(flows: list[EnergyFlow]) -> str:
-    keys, get, _ = FLOW
+    keys, get, _ = _FLOW
     row = ",".join(["%.6g"] * len(keys))
     return "\n".join([",".join(keys), *(row % get(f) for f in flows)]) + "\n"
 
@@ -205,21 +205,21 @@ def emit(obj, fmt: str = "json") -> str:
     if fmt not in ("json", "csv"):
         raise ValidationError("format must be 'json' or 'csv'")
     if isinstance(obj, list) and all(isinstance(r, ComparisonRow) for r in obj):
-        return _rows_csv(obj) if fmt == "csv" else _json([_payload(r, ROW) for r in obj])
+        return _rows_csv(obj) if fmt == "csv" else _json([_payload(r, _ROW) for r in obj])
     if isinstance(obj, list) and all(isinstance(r, SizingResult) for r in obj):
-        payloads = [_payload(r, SIZING) for r in obj]
+        payloads = [_payload(r, _SIZING) for r in obj]
         return "".join(map(_kv_csv, payloads)) if fmt == "csv" else _json(payloads)
     if isinstance(obj, SimulationResult):
         if fmt == "csv" and obj.flows:
             return _flows_csv(obj.flows)
-        payload = _payload(obj, SIMULATION)
+        payload = _payload(obj, _SIMULATION)
         if fmt == "json" and obj.flows:
-            keys, get, _ = FLOW  # every flow field is a float, so all are quantized
+            keys, get, _ = _FLOW  # every flow field is a float, so all are quantized
             payload["flows"] = [dict(zip(keys, map(_q6, get(f)))) for f in obj.flows]
     elif isinstance(obj, SizingResult):
-        payload = _payload(obj, SIZING)
+        payload = _payload(obj, _SIZING)
     elif isinstance(obj, ProfileStats):
-        payload = _payload(obj, STATS)
+        payload = _payload(obj, _STATS)
     else:
         raise ValidationError(f"cannot emit a {type(obj).__name__}")
     return _kv_csv(payload) if fmt == "csv" else _json(payload)
