@@ -11,7 +11,9 @@ sizings, comparison rows, profile statistics, the empty row list, and
 results built from int inputs, which still emit quantized floats.
 Three of them changed once since, when sizing CSV began to carry its
 warnings: the direct fuel-cell sizing (alone and in the table of four)
-and the infeasible one.
+and the infeasible one. Two more pin the flow series at its edges: every
+step of a gait recorded, and a looped run whose flows pass 1e6 s (so
+``%.6g`` writes ``1e+06``) and hold a 3e-05 W demand (written ``3e-05``).
 
 The scenarios cross the four presets (all three modes) and a lossy hybrid
 (non-unit converter and battery efficiencies, a raised SOC floor, reduced
@@ -143,6 +145,17 @@ def test_scenarios_cover_every_combination():
                                     for r in ("once", "looped"))
 
 
+def long_trickle_run():
+    """Looped on a 2 kg tank at dt = 50 s: half of each 100 s period draws
+    45 W, the other half 3e-05 W. Ends unmet_demand after 31133 steps (432 h)."""
+    cfg = presets.hybrid_config()
+    cfg = replace(cfg, tank=replace(cfg.tank, fuel_mass=2.0))
+    profile = PowerProfile(times=np.array([0.0, 50.0, 100.0]),
+                           power=np.array([45.0, 3e-5, 3e-5]), name="trickle")
+    return simulate(cfg, profile, dt=50.0, loop_profile=True, record_flows=True,
+                    flow_stride=333)
+
+
 PRESET_CONFIGS = (presets.nimh_config, presets.liion_config,
                   presets.direct_fc_config, presets.hybrid_config)
 
@@ -166,6 +179,9 @@ REPORTS = {
     "sim-int-dt": lambda: simulate(presets.hybrid_config(), flat_profile(), dt=1),
     "sim-int-dt-flows": lambda: simulate(presets.hybrid_config(), flat_profile(), dt=1,
                                          record_flows=True, flow_stride=7),
+    "sim-gait-flows-stride1": lambda: simulate(presets.hybrid_config(), gait_profile(),
+                                               dt=0.02, record_flows=True, flow_stride=1),
+    "sim-looped-flows-1e6": long_trickle_run,
 }
 
 REPORT_GOLDEN = {
@@ -184,6 +200,8 @@ REPORT_GOLDEN = {
     "stats-spike": "b343cd8eecc58b8fbe0c83de6bf89eae03e5dee8486fc5cd3d6b56d959b72c3e",
     "sim-int-dt": "ebbdcc6c4685bd38677e102a720c04e259bb1e280d0716a4fef767289fe8abfa",
     "sim-int-dt-flows": "f36bf67189bcf916d6f5928f42fb75afe6f90d55a156adfb0abbe1d1d4368bf7",
+    "sim-gait-flows-stride1": "fb26ef29f4bffb9bf10cefb01985ba97658d76880f527bf4318d5c0574893de9",
+    "sim-looped-flows-1e6": "0b404e6d2e6f5ca218b3472fac7295eef9e2b5771dc1559b16ffad08754db90b",
 }
 
 
