@@ -2,6 +2,9 @@
 
 All numbers are emitted at 6 significant digits, fields in fixed order,
 so re-running a report on the same inputs gives byte-identical output.
+Flow series, the bulk of a long run's report, are formatted once per row
+with the ``%.6g`` template the CSV uses; JSON turns each cell into the
+token ``json.dumps`` writes for the cell's value (see ``_json_token``).
 """
 
 from __future__ import annotations
@@ -185,14 +188,49 @@ def _rows_csv(rows: list[ComparisonRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_FLOW_ROW = ",".join(["%.6g"] * len(_FLOW[0]))  # every flow field is a float
+# one flow as json.dumps(indent=2) lays it out inside the result's "flows" list
+_FLOW_JSON = ("    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in _FLOW[0])
+              + "\n    }")
+
+
 def _flows_csv(flows: list[EnergyFlow]) -> str:
     keys, get, _ = _FLOW
-    row = ",".join(["%.6g"] * len(keys))
-    return "\n".join([",".join(keys), *(row % get(f) for f in flows)]) + "\n"
+    return "\n".join([",".join(keys), *(_FLOW_ROW % get(f) for f in flows)]) + "\n"
+
+
+def _json_token(cell: str) -> str:
+    """The JSON number ``json.dumps(float(cell))`` writes for a ``%.6g`` cell.
+
+    Fixed-notation cells are the shortest repr of their value already,
+    bare integers only lack the ``.0``. So are ``e-05`` to ``e-99`` cells:
+    six digits identify a normal double. ``e+`` cells (repr writes 1e6 as
+    ``1000000.0``), three-digit negative exponents (subnormals lose digits)
+    and ``inf``/``nan`` go through ``json.dumps``.
+    """
+    if "e" not in cell and "n" not in cell:
+        return cell if "." in cell else cell + ".0"
+    if "e-" in cell and len(cell) - cell.index("e") == 4:
+        return cell
+    return json.dumps(float(cell))
+
+
+def _flows_json(flows: list[EnergyFlow]) -> str:
+    get = _FLOW[1]
+    cells = ",".join([_FLOW_ROW % get(f) for f in flows]).split(",")
+    return ",\n".join([_FLOW_JSON] * len(flows)) % tuple(map(_json_token, cells))
 
 
 def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _simulation_json(res: SimulationResult) -> str:
+    """The summary through json.dumps, the flows spliced in as text rows."""
+    text = json.dumps(_payload(res, _SIMULATION), indent=2)
+    if not res.flows:
+        return text + "\n"
+    return f'{text[:-2]},\n  "flows": [\n{_flows_json(res.flows)}\n  ]\n}}\n'
 
 
 def emit(obj, fmt: str = "json") -> str:
@@ -210,12 +248,11 @@ def emit(obj, fmt: str = "json") -> str:
         payloads = [_payload(r, _SIZING) for r in obj]
         return "".join(map(_kv_csv, payloads)) if fmt == "csv" else _json(payloads)
     if isinstance(obj, SimulationResult):
-        if fmt == "csv" and obj.flows:
+        if fmt == "json":
+            return _simulation_json(obj)
+        if obj.flows:
             return _flows_csv(obj.flows)
         payload = _payload(obj, _SIMULATION)
-        if fmt == "json" and obj.flows:
-            keys, get, _ = _FLOW  # every flow field is a float, so all are quantized
-            payload["flows"] = [dict(zip(keys, map(_q6, get(f)))) for f in obj.flows]
     elif isinstance(obj, SizingResult):
         payload = _payload(obj, _SIZING)
     elif isinstance(obj, ProfileStats):
