@@ -5,11 +5,14 @@ so re-running a report on the same inputs gives byte-identical output.
 Flow series, the bulk of a long run's report, are formatted once per row
 with the ``%.6g`` template the CSV uses; JSON turns each cell into the
 token ``json.dumps`` writes for the cell's value (see ``_json_token``).
+RFC 8259 JSON has no Infinity or NaN: non-finite values are written
+``null`` in JSON and ``inf``/``nan`` in CSV.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -162,6 +165,11 @@ def _payload(obj, table) -> dict:
             for key, q, v in zip(keys, quantized, get(obj))}
 
 
+def _json_payload(obj, table) -> dict:
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in _payload(obj, table).items()}
+
+
 def _text(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -200,15 +208,18 @@ def _flows_csv(flows: list[EnergyFlow]) -> str:
 
 
 def _json_token(cell: str) -> str:
-    """The JSON number ``json.dumps(float(cell))`` writes for a ``%.6g`` cell.
+    """The JSON token for a ``%.6g`` cell: what ``json.dumps(float(cell))``
+    writes for a finite value, ``null`` for ``inf``/``nan``.
 
     Fixed-notation cells are the shortest repr of their value already,
     bare integers only lack the ``.0``. So are ``e-05`` to ``e-99`` cells:
     six digits identify a normal double. ``e+`` cells (repr writes 1e6 as
-    ``1000000.0``), three-digit negative exponents (subnormals lose digits)
-    and ``inf``/``nan`` go through ``json.dumps``.
+    ``1000000.0``) and three-digit negative exponents (subnormals lose
+    digits) go through ``json.dumps``.
     """
-    if "e" not in cell and "n" not in cell:
+    if "e" not in cell:
+        if "n" in cell:
+            return "null"
         return cell if "." in cell else cell + ".0"
     if "e-" in cell and len(cell) - cell.index("e") == 4:
         return cell
@@ -227,7 +238,7 @@ def _json(payload) -> str:
 
 def _simulation_json(res: SimulationResult) -> str:
     """The summary through json.dumps, the flows spliced in as text rows."""
-    text = json.dumps(_payload(res, _SIMULATION), indent=2)
+    text = json.dumps(_json_payload(res, _SIMULATION), indent=2)
     if not res.flows:
         return text + "\n"
     return f'{text[:-2]},\n  "flows": [\n{_flows_json(res.flows)}\n  ]\n}}\n'
@@ -243,20 +254,21 @@ def emit(obj, fmt: str = "json") -> str:
     if fmt not in ("json", "csv"):
         raise ValidationError("format must be 'json' or 'csv'")
     if isinstance(obj, list) and all(isinstance(r, ComparisonRow) for r in obj):
-        return _rows_csv(obj) if fmt == "csv" else _json([_payload(r, _ROW) for r in obj])
+        return _rows_csv(obj) if fmt == "csv" else _json([_json_payload(r, _ROW) for r in obj])
     if isinstance(obj, list) and all(isinstance(r, SizingResult) for r in obj):
-        payloads = [_payload(r, _SIZING) for r in obj]
-        return "".join(map(_kv_csv, payloads)) if fmt == "csv" else _json(payloads)
+        if fmt == "csv":
+            return "".join(_kv_csv(_payload(r, _SIZING)) for r in obj)
+        return _json([_json_payload(r, _SIZING) for r in obj])
     if isinstance(obj, SimulationResult):
         if fmt == "json":
             return _simulation_json(obj)
         if obj.flows:
             return _flows_csv(obj.flows)
-        payload = _payload(obj, _SIMULATION)
+        table = _SIMULATION
     elif isinstance(obj, SizingResult):
-        payload = _payload(obj, _SIZING)
+        table = _SIZING
     elif isinstance(obj, ProfileStats):
-        payload = _payload(obj, _STATS)
+        table = _STATS
     else:
         raise ValidationError(f"cannot emit a {type(obj).__name__}")
-    return _kv_csv(payload) if fmt == "csv" else _json(payload)
+    return _kv_csv(_payload(obj, table)) if fmt == "csv" else _json(_json_payload(obj, table))

@@ -23,6 +23,10 @@ fuel cell hybrid,0.15,0.8,4950,26280,88,45,true
 """
 
 
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def flat_profile_file(tmp_path, power=45.0, duration=600.0):
     path = tmp_path / "load.csv"
     path.write_text(f"time_s,power_w\n0,{power:g}\n{duration:g},{power:g}\n")
@@ -97,11 +101,18 @@ class TestSimulateCommand:
         profile = tmp_path / "ramp.csv"
         profile.write_text("time_s,power_w\n0,0\n9.99,2.12\n10,2.12\n")
         assert main(["simulate", "--profile", str(profile), "--dt", "0.01"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["fc_damage"] == math.inf
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert payload["fc_damage"] is None  # infinite damage; JSON has no Infinity
 
 
 class TestSizeCommand:
+    def test_zero_steady_draw_runs_forever(self, capsys):
+        assert main(["size", "--steady", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert payload["run_time_h"] is None
+        assert main(["size", "--steady", "0", "--format", "csv"]) == 0
+        assert "run_time_h,inf" in capsys.readouterr().out.splitlines()
+
     def test_hybrid_default(self, capsys):
         assert main(["size"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,13 @@ Li-ion battery,,,120,9000,9,16,true
 fuel cell,0.3,0.9,4950,119.949,99,45,false
 fuel cell hybrid,0.15,0.8,4950,26280,88,45,true
 """
+
+
+def strict_json(text):
+    """Parse as RFC 8259 JSON: the bare Infinity and NaN tokens are errors."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def flat(power=45.0, duration=100.0):
@@ -177,3 +185,33 @@ class TestEmitOthers:
                             run_time=3.0, load_basis=16.0,
                             feasible_at_peak=False)
         assert emit([row], "csv").splitlines()[1] == "pack,,,40,3000,3,16,false"
+
+
+class TestNonFiniteJson:
+    """JSON has no Infinity or NaN: they are written null; CSV keeps inf/nan."""
+
+    def test_summary_values(self):
+        res = replace(simulate(presets.hybrid_config(), flat(), dt=1.0),
+                      fc_damage=math.inf, ripple=math.nan, run_time=-math.inf)
+        payload = strict_json(emit(res, "json"))
+        assert (payload["fc_damage"], payload["ripple"], payload["run_time_h"]) == (
+            None, None, None)
+        lines = emit(res, "csv").splitlines()
+        assert {"fc_damage,inf", "ripple,nan", "run_time_h,-inf"} <= set(lines)
+
+    def test_flow_values(self):
+        res = simulate(presets.hybrid_config(), flat(), dt=1.0,
+                       record_flows=True, flow_stride=50)
+        res.flows[1] = replace(res.flows[1], soc=math.nan, unmet=math.inf)
+        flow = strict_json(emit(res, "json"))["flows"][1]
+        assert (flow["soc"], flow["unmet_w"]) == (None, None)
+        assert emit(res, "csv").splitlines()[2].endswith(",inf,0,nan")
+
+    def test_sizing_and_rows(self):
+        sized = size_hybrid(SizingInputs(1.2, 0.0, 250.0))
+        assert sized.run_time == math.inf
+        assert strict_json(emit(sized, "json"))["run_time_h"] is None
+        assert strict_json(emit([sized], "json"))[0]["run_time_h"] is None
+        row = replace(compare([sized])[0], system_life=math.inf)
+        assert strict_json(emit([row], "json"))[0]["system_life_h"] is None
+        assert "run_time_h,inf" in emit(sized, "csv").splitlines()
