@@ -170,18 +170,24 @@ def _json_payload(obj, table) -> dict:
             for k, v in _payload(obj, table).items()}
 
 
+def _quoted(text: str) -> str:
+    return '"{}"'.format(text.replace('"', '""'))
+
+
 def _text(v) -> str:
+    """A CSV cell; text holding a comma, a quote or a line break is quoted
+    per RFC 4180."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    return str(v)
+    text = str(v)
+    return _quoted(text) if any(c in text for c in ',"\n\r') else text
 
 
 def _kv_csv(payload: dict) -> str:
     lines = ["key,value"]
     for k, v in payload.items():
         if isinstance(v, list):  # one quoted line per item, under the singular key
-            lines.extend('{},"{}"'.format(k.removesuffix("s"), item.replace('"', '""'))
-                         for item in v)
+            lines.extend(f"{k.removesuffix('s')},{_quoted(item)}" for item in v)
         else:
             lines.append(f"{k},{_text(v)}")
     return "\n".join(lines) + "\n"

@@ -182,6 +182,15 @@ class TestCompareCommand:
         assert payload[0]["load_basis_w"] == 45.0
         assert payload[1]["load_basis_w"] == 40.0
 
+    def test_label_with_a_comma_stays_one_cell(self, tmp_path, capsys):
+        ini = tmp_path / "pack.ini"
+        ini.write_text("[system]\nmode = battery_only\n[fuel_cell]\nmass = 0\n"
+                       "[fuel_tank]\nfuel_mass = 0\n[battery]\nchemistry = NiMH, 7-cell\n")
+        assert main(["compare", "--config", str(ini), "--format", "csv"]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert len(header) == len(row) == 8
+        assert row[0] == "NiMH, 7-cell battery"
+
     def test_requires_an_input(self, capsys):
         assert main(["compare"]) == 1
         assert "--table1" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from dataclasses import replace
@@ -215,3 +217,34 @@ class TestNonFiniteJson:
         row = replace(compare([sized])[0], system_life=math.inf)
         assert strict_json(emit([row], "json"))[0]["system_life_h"] is None
         assert "run_time_h,inf" in emit(sized, "csv").splitlines()
+
+
+class TestCsvTextCells:
+    """Text cells holding a comma, a quote or a line break are quoted per
+    RFC 4180; every other cell is written as it is."""
+
+    LABELS = ['NiMH, 7-cell', 'the "big" pack', "two\nlines", "cr\rlf"]
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_comparison_row(self, label):
+        row = replace(compare(presets.comparison_sizings())[0], label=label)
+        text = emit([row], "csv")
+        header, cells = csv.reader(io.StringIO(text, newline=""))
+        assert header == COMPARISON_CSV_HEADER.split(",")
+        assert cells == [label, "", "", "40", "3000", "3", "16", "true"]
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_key_value(self, label):
+        sized = replace(presets.nimh_sizing(), label=label)
+        rows = list(csv.reader(io.StringIO(emit(sized, "csv"), newline="")))
+        assert all(len(r) == 2 for r in rows)
+        assert ["label", label] in rows
+
+    def test_quotes_doubled_inside_quotes(self):
+        row = replace(compare(presets.comparison_sizings())[0], label='the "big" pack')
+        assert emit([row], "csv").splitlines()[1] == '"the ""big"" pack",,,40,3000,3,16,true'
+        sized = replace(presets.nimh_sizing(), label='the "big" pack')
+        assert emit(sized, "csv").splitlines()[1] == 'label,"the ""big"" pack"'
+
+    def test_plain_text_unquoted(self):
+        assert emit(presets.nimh_sizing(), "csv").splitlines()[1] == "label,NiMH battery"
