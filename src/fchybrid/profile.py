@@ -229,6 +229,7 @@ def _open_text(source: ProfileSource):
 def load_profile(source: ProfileSource, name: str | None = None) -> PowerProfile:
     """Parse profile CSV from a path, bytes, or open file.
 
+    Blank lines are skipped; the first other line must be the header.
     Raises ProfileParseError (with line number) for malformed rows and
     ValidationError for ordering or sign violations.
     """
@@ -236,16 +237,16 @@ def load_profile(source: ProfileSource, name: str | None = None) -> PowerProfile
     try:
         times: list[float] = []
         power: list[float] = []
-        lineno = 0
-        for raw in stream:
-            lineno += 1
+        header = False
+        for lineno, raw in enumerate(stream, start=1):
             line = raw.strip()
             if not line:
                 continue
-            if lineno == 1:
+            if not header:
                 if line != CSV_HEADER:
                     raise ProfileParseError(
-                        f"expected header '{CSV_HEADER}', got '{line}'", line=1)
+                        f"expected header '{CSV_HEADER}', got '{line}'", line=lineno)
+                header = True
                 continue
             parts = line.split(",")
             if len(parts) != 2:
@@ -258,7 +259,7 @@ def load_profile(source: ProfileSource, name: str | None = None) -> PowerProfile
                 raise ProfileParseError(str(exc), line=lineno) from None
             times.append(t)
             power.append(p)
-        if lineno == 0:
+        if not header:
             raise ProfileParseError("empty profile file", line=1)
     finally:
         if owned:

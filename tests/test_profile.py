@@ -310,6 +310,20 @@ class TestEmitLoad:
         with pytest.raises(ProfileParseError):
             load_profile(b"")
 
+    def test_header_after_leading_blank_lines(self):
+        p = load_profile(f"\n  \n{CSV_HEADER}\n0,5\n1,6\n".encode())
+        assert list(p.power) == [5.0, 6.0]
+
+    def test_bad_header_after_a_blank_line_names_its_line(self):
+        with pytest.raises(ProfileParseError) as err:
+            load_profile(b"\ntime,power\n0,5\n1,6\n")
+        assert err.value.line == 2
+        assert "expected header" in str(err.value)
+
+    def test_blank_lines_only_is_an_empty_file(self):
+        with pytest.raises(ProfileParseError, match="empty profile file"):
+            load_profile(b"\n \n\n")
+
     def test_header_only_is_too_short(self):
         with pytest.raises(ValidationError):
             load_profile(f"{CSV_HEADER}\n".encode())
