@@ -247,6 +247,7 @@ def _simulation_json(res: SimulationResult) -> str:
     text = json.dumps(_json_payload(res, _SIMULATION), indent=2)
     if not res.flows:
         return text + "\n"
+    # reopen the summary's closing "\n}" to append the flows as its last key
     return f'{text[:-2]},\n  "flows": [\n{_flows_json(res.flows)}\n  ]\n}}\n'
 
 
