@@ -7,8 +7,9 @@ statistics and hold extension past the end.
 
 Units: time in seconds, power in watts, energy in watt-hours.
 
-CSV interchange format: UTF-8 text, header exactly ``time_s,power_w``,
-one sample per row, numbers emitted at 6 significant digits.
+CSV interchange format: UTF-8 text, header exactly ``time_s,power_w``
+on the first non-blank line, one sample per row, blank lines skipped,
+numbers emitted at 6 significant digits.
 """
 
 from __future__ import annotations
