@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: profile synth, profile stats, simulate, size, compare.
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 infeasible.
+Exit codes: 0 success, 1 usage error, 2 validation error, 3 infeasible
+(including a looped simulation that passes its max_hours horizon).
 """
 
 from __future__ import annotations
@@ -74,18 +75,23 @@ def _cmd_profile_stats(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.flows < 0:
+        raise ValidationError("--flows must be >= 0")
     if args.config:
         config = load_supply_config(args.config)
     else:
         from .presets import hybrid_config
         config = hybrid_config()
     profile = load_profile(args.profile)
-    result = simulate(
-        config, profile, dt=args.dt, loop_profile=args.loop,
-        initial_soc=args.initial_soc,
-        record_flows=args.flows > 0,
-        flow_stride=args.flows if args.flows > 0 else 100,
-    )
+    try:
+        result = simulate(
+            config, profile, dt=args.dt, loop_profile=args.loop,
+            initial_soc=args.initial_soc,
+            record_flows=args.flows > 0,
+            flow_stride=args.flows if args.flows > 0 else 100,
+        )
+    except RuntimeError as exc:  # a looped run that nothing drains
+        raise InfeasibleError(str(exc)) from None
     _write(emit(result, args.format), args.out)
     return 0
 
@@ -163,7 +169,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--initial-soc", type=float, default=None,
                      help="battery state of charge at start (default full)")
     sim.add_argument("--flows", type=int, default=0, metavar="N",
-                     help="record every Nth step's power flows")
+                     help="record every Nth step's power flows (0: none)")
     sim.add_argument("--format", choices=("json", "csv"), default="json")
     sim.add_argument("--out", default=None)
     sim.set_defaults(func=_cmd_simulate)

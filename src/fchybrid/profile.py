@@ -208,12 +208,23 @@ def resample(profile: PowerProfile, dt: float) -> PowerProfile:
     return PowerProfile(times=times, power=power, name=profile.name)
 
 
+# samples formatted per pass of emit_profile
+_CHUNK = 1024
+
+
 def emit_profile(profile: PowerProfile) -> str:
-    """Render to CSV text at 6 significant digits."""
-    lines = [CSV_HEADER]
-    for t, p in zip(profile.times, profile.power):
-        lines.append(f"{t:.6g},{p:.6g}")
-    return "\n".join(lines) + "\n"
+    """Render to CSV text at 6 significant digits.
+
+    Rows are formatted from Python floats a chunk at a time, so emission
+    holds the text and one chunk's rows, not a string per sample.
+    """
+    parts = [CSV_HEADER]
+    for i in range(0, len(profile), _CHUNK):
+        pairs = zip(profile.times[i:i + _CHUNK].tolist(),
+                    profile.power[i:i + _CHUNK].tolist())
+        parts.append("\n".join(["%.6g,%.6g" % pair for pair in pairs]))
+    parts.append("")
+    return "\n".join(parts)
 
 
 def _open_text(source: ProfileSource):

@@ -3,8 +3,10 @@
 All numbers are emitted at 6 significant digits, fields in fixed order,
 so re-running a report on the same inputs gives byte-identical output.
 Flow series, the bulk of a long run's report, are formatted once per row
-with the ``%.6g`` template the CSV uses; JSON turns each cell into the
-token ``json.dumps`` writes for the cell's value (see ``_json_token``).
+with the ``%.6g`` template the CSV uses, ``_CHUNK`` rows at a time, and the
+report is joined once from the finished chunks, so emission needs about
+twice the report's size; JSON turns each cell into the token
+``json.dumps`` writes for the cell's value (see ``_json_token``).
 RFC 8259 JSON has no Infinity or NaN: non-finite values are written
 ``null`` in JSON and ``inf``/``nan`` in CSV.
 """
@@ -206,11 +208,21 @@ _FLOW_ROW = ",".join(["%.6g"] * len(_FLOW[0]))  # every flow field is a float
 # one flow as json.dumps(indent=2) lays it out inside the result's "flows" list
 _FLOW_JSON = ("    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in _FLOW[0])
               + "\n    }")
+# flows formatted per pass: emission holds one chunk's rows and cells at a
+# time, besides the finished chunks and the report joined from them
+_CHUNK = 1024
+
+
+def _flow_chunks(flows: list[EnergyFlow]):
+    """Each chunk of flows as its list of ``_FLOW_ROW`` text rows."""
+    get = _FLOW[1]
+    for i in range(0, len(flows), _CHUNK):
+        yield [_FLOW_ROW % get(f) for f in flows[i:i + _CHUNK]]
 
 
 def _flows_csv(flows: list[EnergyFlow]) -> str:
-    keys, get, _ = _FLOW
-    return "\n".join([",".join(keys), *(_FLOW_ROW % get(f) for f in flows)]) + "\n"
+    chunks = map("\n".join, _flow_chunks(flows))
+    return "\n".join([",".join(_FLOW[0]), *chunks, ""])
 
 
 def _json_token(cell: str) -> str:
@@ -232,10 +244,11 @@ def _json_token(cell: str) -> str:
     return json.dumps(float(cell))
 
 
-def _flows_json(flows: list[EnergyFlow]) -> str:
-    get = _FLOW[1]
-    cells = ",".join([_FLOW_ROW % get(f) for f in flows]).split(",")
-    return ",\n".join([_FLOW_JSON] * len(flows)) % tuple(map(_json_token, cells))
+def _flows_json(flows: list[EnergyFlow]):
+    """Each chunk of flows as its indent-2 JSON objects, comma-separated."""
+    for rows in _flow_chunks(flows):
+        cells = ",".join(rows).split(",")
+        yield ",\n".join([_FLOW_JSON] * len(rows)) % tuple(map(_json_token, cells))
 
 
 def _json(payload) -> str:
@@ -247,8 +260,13 @@ def _simulation_json(res: SimulationResult) -> str:
     text = json.dumps(_json_payload(res, _SIMULATION), indent=2)
     if not res.flows:
         return text + "\n"
-    # reopen the summary's closing "\n}" to append the flows as its last key
-    return f'{text[:-2]},\n  "flows": [\n{_flows_json(res.flows)}\n  ]\n}}\n'
+    # reopen the summary's closing "\n}" to append the flows as its last key;
+    # each chunk is followed by its separator, the last one by the closing text
+    parts = [f'{text[:-2]},\n  "flows": [\n']
+    for chunk in _flows_json(res.flows):
+        parts += (chunk, ",\n")
+    parts[-1] = "\n  ]\n}\n"
+    return "".join(parts)
 
 
 def emit(obj, fmt: str = "json") -> str:

@@ -227,6 +227,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: dt must be")
 
+    def test_negative_flow_stride(self, tmp_path, capsys):
+        profile = flat_profile_file(tmp_path)
+        assert main(["simulate", "--profile", str(profile), "--flows", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --flows")
+
+    def test_looped_run_that_never_ends(self, tmp_path, capsys):
+        # at 0 W nothing drains, so only the max_hours horizon ends the run
+        profile = flat_profile_file(tmp_path, power=0.0)
+        assert main(["simulate", "--profile", str(profile), "--loop",
+                     "--dt", "100000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("infeasible:")
+        assert "max_hours" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["profile", "synth", "--duration", "nan"],
         ["profile", "synth", "--mech-peak", "inf"],

@@ -6,6 +6,7 @@ import pytest
 
 from fchybrid.errors import ProfileParseError, ValidationError
 from fchybrid.profile import (
+    _CHUNK,
     CSV_HEADER,
     GaitParams,
     PowerProfile,
@@ -244,6 +245,16 @@ class TestEmitLoad:
         assert lines[1] == "0,40"
         assert lines[2] == "1,60"
         assert text.endswith("\n")
+
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_chunk_edges_leave_no_trace(self, n):
+        rng = np.random.default_rng(n)
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 10.0, n - 1))])
+        power = rng.uniform(0.0, 1e7, n) * 10.0 ** rng.integers(-9, 1, n)
+        power[::7] = -0.0
+        p = make(times, power)
+        rows = [f"{t:.6g},{w:.6g}" for t, w in zip(times, power)]
+        assert emit_profile(p) == "\n".join([CSV_HEADER, *rows]) + "\n"
 
     def test_round_trip_exact_on_clean_grid(self):
         # quarter-second steps are binary-exact and 6 digits wide at most,

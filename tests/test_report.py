@@ -2,17 +2,25 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fchybrid import presets
+from fchybrid.controller import EnergyFlow
 from fchybrid.errors import ValidationError
-from fchybrid.profile import PowerProfile, profile_stats
+from fchybrid.profile import GaitParams, PowerProfile, profile_stats, synthesize_walk_profile
 from fchybrid.report import (
+    _CHUNK,
+    _FLOW,
+    _FLOW_ROW,
+    _SIMULATION,
     COMPARISON_CSV_HEADER,
     ComparisonRow,
+    _payload,
+    _q6,
     compare,
     emit,
 )
@@ -248,3 +256,71 @@ class TestCsvTextCells:
 
     def test_plain_text_unquoted(self):
         assert emit(presets.nimh_sizing(), "csv").splitlines()[1] == "label,NiMH battery"
+
+
+EDGE_CELLS = [-0.0, 1e6, 3e-5, 5e-324]
+
+
+def random_flows(n):
+    """n flows of seeded random cells over many decades, with the cells
+    whose JSON token needs a rule of its own sprinkled in and placed on
+    both sides of every chunk edge."""
+    rng = np.random.default_rng(n)
+    shape = (n, len(_FLOW[0]))
+    cells = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 9, shape)
+    edge = rng.random(shape) < 0.1
+    cells[edge] = rng.choice(EDGE_CELLS, size=int(edge.sum()))
+    for row in range(_CHUNK - 1, n, _CHUNK):
+        cells[row, :len(EDGE_CELLS)] = EDGE_CELLS
+        cells[min(row + 1, n - 1), -len(EDGE_CELLS):] = EDGE_CELLS
+    return [EnergyFlow(*row) for row in cells.tolist()]
+
+
+class TestFlowChunks:
+    """Flow reports are formatted _CHUNK rows at a time; the text shows no
+    trace of where one chunk ends and the next begins."""
+
+    SIZES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]
+
+    @staticmethod
+    def result(n):
+        return replace(simulate(presets.hybrid_config(), flat(), dt=1.0),
+                       flows=random_flows(n))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_json_is_the_indent_2_encoding(self, n):
+        res = self.result(n)
+        payload = _payload(res, _SIMULATION)
+        payload["flows"] = [dict(zip(_FLOW[0], map(_q6, _FLOW[1](f)))) for f in res.flows]
+        assert emit(res, "json") == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_csv_is_the_one_shot_join(self, n):
+        res = self.result(n)
+        keys, get, _ = _FLOW
+        rows = [_FLOW_ROW % get(f) for f in res.flows]
+        assert emit(res, "csv") == "\n".join([",".join(keys), *rows]) + "\n"
+
+
+class TestEmissionMemory:
+    """Emission streams the flows in chunks, so its peak follows the
+    report's size: the text itself, the chunks it is joined from and one
+    chunk's working set."""
+
+    @pytest.fixture(scope="class")
+    def long_run(self):
+        gait = synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=1000.0))
+        res = simulate(presets.hybrid_config(), gait, dt=0.05,
+                       record_flows=True, flow_stride=1)
+        assert len(res.flows) == 20_000
+        return res
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_peak_is_bounded_by_the_report(self, long_run, fmt):
+        tracemalloc.start()
+        try:
+            text = emit(long_run, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text) + 2**20
