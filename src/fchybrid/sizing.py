@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InfeasibleError, ValidationError, require_finite
 from .powertrain import BatterySpec, DegradationParams, FuelCellStackSpec, \
     FuelTankSpec, ElectronicsSpec, fc_life
-from .profile import PowerProfile
+from .profile import PowerProfile, profile_stats
 from .simulator import (
     HybridConfig,
     MODE_BATTERY,
@@ -35,9 +35,6 @@ from .simulator import (
     simulate,
 )
 from .controller import ControllerParams
-
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def _to_gram(mass_kg: float) -> float:
     # component allocations land on whole grams; fuel absorbs the remainder
@@ -398,15 +395,26 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs,
                       ) -> tuple[float, SizingResult]:
     """Pick the fuel-cell setpoint that maximizes endurance on the profile.
 
-    Golden-section search over [0, peak_power] on the endurance estimate,
-    infeasible candidates scored minus infinity; falls back to an
-    exhaustive grid sweep if the bracket stops behaving unimodally.
-    Deterministic. Raises InfeasibleError naming the binding constraint
-    when no setpoint satisfies demand, battery sustainability, and the
-    life floor.
+    The optimum is the lowest feasible setpoint (one that meets demand,
+    sustains the battery and keeps the life floor): a sustained pass burns
+    the load whatever the setpoint, while every 1/stack_specific_power kg
+    of stack a higher setpoint needs is fuel the budget loses.
+
+    From the profile's average power, clamped to [0, peak_power], the
+    search steps down while the setpoint is feasible and up while it is
+    not, the first step tolerance W and each later one twice the last,
+    until a feasible and an infeasible setpoint bracket the edge; it then
+    bisects the bracket to min(tolerance, grid_step) * 1e-3 W and returns
+    its feasible end. A feasible 0 W is returned as it stands. Only if the
+    walk reaches peak_power without a feasible setpoint does a grid sweep
+    at grid_step W pick the longest-running feasible one, whose lower
+    edge is bisected the same way. Deterministic. Raises InfeasibleError
+    naming the binding constraint when no setpoint satisfies demand,
+    battery sustainability, and the life floor.
     """
-    if tolerance <= 0:
-        raise ValidationError("tolerance must be > 0")
+    for name, value in (("tolerance", tolerance), ("grid_step", grid_step)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and > 0")
     cache: dict[float, SetpointEvaluation] = {}
     reasons: set[str] = set()
 
@@ -425,65 +433,40 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs,
             return -math.inf, ev
         return ev.run_time, ev
 
-    lo, hi = 0.0, inputs.peak_power
-    best_x, best_f = None, -math.inf
+    def feasible(x: float) -> bool:
+        return judge(x)[0] > -math.inf
 
-    def consider(x: float) -> float:
-        nonlocal best_x, best_f
-        f, _ = judge(x)
-        if f > best_f or (f == best_f and f > -math.inf
-                          and best_x is not None and x < best_x):
-            best_x, best_f = x, f
-        return f
+    peak = inputs.peak_power
+    x = min(max(profile_stats(profile).average_power, 0.0), peak)
+    lo, hi = (None, x) if feasible(x) else (x, None)
+    step = tolerance
+    while (lo is None and hi > 0.0) or (hi is None and lo < peak):
+        x = max(hi - step, 0.0) if lo is None else min(lo + step, peak)
+        lo, hi = (lo, x) if feasible(x) else (x, hi)
+        step *= 2.0
 
-    need_fallback = False
-    x1 = hi - INV_PHI * (hi - lo)
-    x2 = lo + INV_PHI * (hi - lo)
-    f1, f2 = consider(x1), consider(x2)
-    while hi - lo > tolerance:
-        if f1 == -math.inf and f2 == -math.inf:
-            need_fallback = True
-            break
-        if f1 > f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - INV_PHI * (hi - lo)
-            f1 = consider(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + INV_PHI * (hi - lo)
-            f2 = consider(x2)
+    if hi is None:
+        for x in np.arange(0.0, peak + grid_step / 2, grid_step):
+            judge(float(x))
+        hi = max(cache, key=lambda x: (judge(x)[0], -x))
+        if not feasible(hi):
+            # a candidate failing only the life floor was otherwise feasible,
+            # so that constraint is the binding one to report
+            if "system_life" in reasons:
+                binding = "system_life"
+            elif reasons & {"unmet_demand", "battery_drain"}:
+                binding = "unmet_demand"
+            else:
+                binding = "mass_budget"
+            raise InfeasibleError(
+                f"no setpoint in [0, {peak:g}] W satisfies the "
+                f"constraints (binding: {binding})", binding_constraint=binding)
+        lo = max((x for x in cache if x < hi and not feasible(x)), default=None)
 
-    if need_fallback or best_x is None:
-        for x in np.arange(0.0, inputs.peak_power + grid_step / 2, grid_step):
-            consider(float(x))
-
-    if best_x is None:
-        # a candidate failing only the life floor was otherwise feasible,
-        # so that constraint is the binding one to report
-        if "system_life" in reasons:
-            binding = "system_life"
-        elif reasons & {"unmet_demand", "battery_drain"}:
-            binding = "unmet_demand"
-        else:
-            binding = "mass_budget"
-        raise InfeasibleError(
-            f"no setpoint in [0, {inputs.peak_power:g}] W satisfies the "
-            f"constraints (binding: {binding})", binding_constraint=binding)
-
-    # equal endurance prefers the lowest setpoint, so walk the optimum down
-    # to the left edge of its plateau / feasibility boundary
-    edge_lo = 0.0
-    for x in list(cache):
-        if edge_lo < x < best_x and judge(x)[0] < best_f:
-            edge_lo = x
     refine = min(tolerance, grid_step) * 1e-3
-    while best_x - edge_lo > refine:
-        mid = 0.5 * (edge_lo + best_x)
-        f, _ = judge(mid)
-        if f >= best_f:
-            best_f, best_x = f, mid
-        else:
-            edge_lo = mid
-    incumbent = cache[best_x]
+    while lo is not None and hi - lo > refine:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
+    incumbent = cache[hi]
     assert incumbent.feasible and incumbent.system_life >= life_floor
-    return best_x, incumbent.sizing
+    return hi, incumbent.sizing

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fchybrid import presets
+from fchybrid import presets, sizing
 from fchybrid.errors import InfeasibleError, ValidationError
 from fchybrid.powertrain import fc_life
 from fchybrid.profile import GaitParams, PowerProfile, synthesize_walk_profile
@@ -28,11 +30,42 @@ from fchybrid.sizing import (
 )
 
 INPUTS = SizingInputs(mass_budget=1.2, steady_power=45.0, peak_power=250.0)
+WALK = GaitParams(base_load=40.0, gait_period=1.0, stride_duty=0.5,
+                  mech_peak=5.0, duration=60.0)
+REFINE = 0.1 * 1e-3  # min(tolerance, grid_step) * 1e-3 at the defaults
 
 
 def flat_profile(power=45.0, duration=600.0):
     return PowerProfile(times=np.array([0.0, duration]),
                         power=np.array([power, power]), name="flat")
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every evaluation optimize_setpoint makes, in call order."""
+    seen = []
+    evaluate = sizing.evaluate_setpoint
+
+    def counted(*args, **kwargs):
+        ev = evaluate(*args, **kwargs)
+        seen.append(ev)
+        return ev
+
+    monkeypatch.setattr(sizing, "evaluate_setpoint", counted)
+    return seen
+
+
+def lowest_servable_setpoint(load: float, peak: float = 250.0) -> float:
+    """Closed form of the flat-load optimum: the stack delivers the lesser
+    of its setpoint and its rating, and its mass lands on whole grams, so
+    the lowest setpoint x with min(x, 300 * round(x / 300, 3)) >= load."""
+    def serves(x):
+        return min(x, 300.0 * round(x / 300.0, 3)) >= load
+    lo, hi = 0.0, peak
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if serves(mid) else (mid, hi)
+    return hi
 
 
 class TestInputsValidation:
@@ -298,17 +331,13 @@ class TestOptimizeSetpoint:
         assert sized.feasible
 
     def test_walk_profile_optimum_near_average(self):
-        walk = synthesize_walk_profile(
-            GaitParams(base_load=40.0, gait_period=1.0, stride_duty=0.5,
-                       mech_peak=5.0, duration=60.0))
+        walk = synthesize_walk_profile(WALK)
         best, sized = optimize_setpoint(walk, INPUTS, dt=0.02)
         assert abs(best - 45.0) <= 0.5
         assert sized.feasible
 
     def test_deterministic(self):
-        walk = synthesize_walk_profile(
-            GaitParams(base_load=40.0, gait_period=1.0, stride_duty=0.5,
-                       mech_peak=5.0, duration=60.0))
+        walk = synthesize_walk_profile(WALK)
         a = optimize_setpoint(walk, INPUTS, dt=0.02)
         b = optimize_setpoint(walk, INPUTS, dt=0.02)
         assert a[0] == b[0]
@@ -334,9 +363,53 @@ class TestOptimizeSetpoint:
                               SizingInputs(0.2, 45.0, 250.0), dt=1.0)
         assert err.value.binding_constraint == "mass_budget"
 
-    def test_tolerance_validation(self):
+    @pytest.mark.parametrize("kwargs", [
+        {"tolerance": 0.0}, {"tolerance": -0.1}, {"tolerance": math.nan},
+        {"tolerance": math.inf}, {"grid_step": 0.0}, {"grid_step": -1.0},
+        {"grid_step": math.nan}, {"grid_step": math.inf},
+    ])
+    def test_step_validation(self, kwargs, evaluations):
         with pytest.raises(ValidationError):
-            optimize_setpoint(flat_profile(45.0), INPUTS, tolerance=0.0)
+            optimize_setpoint(flat_profile(45.0), INPUTS, dt=1.0, **kwargs)
+        assert evaluations == []
+
+    @pytest.mark.parametrize("profile, dt", [
+        (synthesize_walk_profile(WALK), 0.02),
+        (flat_profile(199.9), 1.0),
+    ], ids=["walk", "flat-199.9"])
+    def test_evaluation_count(self, profile, dt, evaluations):
+        optimize_setpoint(profile, INPUTS, dt=dt)
+        assert len(evaluations) <= 16
+
+    @pytest.mark.parametrize("profile, dt", [
+        (synthesize_walk_profile(WALK), 0.02),
+        (flat_profile(37.0), 1.0),
+        (flat_profile(199.9), 1.0),
+    ], ids=["walk", "flat-37", "flat-199.9"])
+    def test_answer_sits_on_the_feasibility_edge(self, profile, dt, evaluations):
+        best, _ = optimize_setpoint(profile, INPUTS, dt=dt)
+        assert best > 0.0
+        by_setpoint = {ev.setpoint: ev for ev in evaluations}
+        assert by_setpoint[best].feasible
+        assert any(best - REFINE <= x < best and not ev.feasible
+                   for x, ev in by_setpoint.items())
+
+    def test_zero_load_optimum_is_zero(self, evaluations):
+        best, sized = optimize_setpoint(flat_profile(0.0), INPUTS, dt=1.0)
+        assert best == 0.0
+        assert sized.stack_mass == 0.0
+        assert len(evaluations) == 1
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=50)
+    @given(st.floats(min_value=1.0, max_value=200.0))
+    @example(37.0)
+    @example(12.34)
+    @example(199.9)
+    @example(45.0)
+    def test_flat_load_matches_closed_form(self, load):
+        best, sized = optimize_setpoint(flat_profile(load), INPUTS, dt=1.0)
+        assert sized.feasible
+        assert abs(best - lowest_servable_setpoint(load)) <= 1e-3
 
 
 class TestBatteryTemplate:
