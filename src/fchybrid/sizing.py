@@ -36,6 +36,7 @@ from .simulator import (
 )
 from .controller import ControllerParams
 
+
 def _to_gram(mass_kg: float) -> float:
     # component allocations land on whole grams; fuel absorbs the remainder
     return round(mass_kg, 3)

@@ -363,10 +363,14 @@ class TestOptimizeSetpoint:
                               SizingInputs(0.2, 45.0, 250.0), dt=1.0)
         assert err.value.binding_constraint == "mass_budget"
 
+    def test_tolerance_validation(self):
+        with pytest.raises(ValidationError):
+            optimize_setpoint(flat_profile(45.0), INPUTS, tolerance=0.0)
+
     @pytest.mark.parametrize("kwargs", [
-        {"tolerance": 0.0}, {"tolerance": -0.1}, {"tolerance": math.nan},
-        {"tolerance": math.inf}, {"grid_step": 0.0}, {"grid_step": -1.0},
-        {"grid_step": math.nan}, {"grid_step": math.inf},
+        {"tolerance": -0.1}, {"tolerance": math.nan}, {"tolerance": math.inf},
+        {"grid_step": 0.0}, {"grid_step": -1.0}, {"grid_step": math.nan},
+        {"grid_step": math.inf},
     ])
     def test_step_validation(self, kwargs, evaluations):
         with pytest.raises(ValidationError):
