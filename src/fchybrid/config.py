@@ -37,6 +37,8 @@ def _read(path) -> configparser.ConfigParser:
                                    interpolation=None, default_section="")
     try:
         cp.read_string(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{p} is not UTF-8 text ({exc.reason})") from None
     except configparser.Error as exc:
         raise ValidationError(f"bad config file {p}: {exc}") from None
     for section in cp.sections():

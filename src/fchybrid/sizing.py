@@ -18,7 +18,7 @@ battery packs; a hybrid takes the minimum of the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .simulator import (
     MODE_BATTERY,
     MODE_DIRECT,
     MODE_HYBRID,
-    default_dt,
+    SimulationResult,
     simulate,
 )
 from .controller import ControllerParams
@@ -342,7 +342,9 @@ class SetpointEvaluation:
 def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
                       setpoint: float, *, dt: float | None = None,
                       battery_template: BatterySpec | None = None,
-                      degradation: DegradationParams = DegradationParams()) -> SetpointEvaluation:
+                      degradation: DegradationParams = DegradationParams(),
+                      memo: dict[HybridConfig, SimulationResult] | None = None
+                      ) -> SetpointEvaluation:
     """Size a hybrid for the given setpoint and judge one settled pass.
 
     The profile is treated as periodic. A first pass absorbs the filter
@@ -351,6 +353,17 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     energy and must not net-drain the battery, otherwise the loop cannot
     be sustained. The endurance estimate is the fuel horizon at that
     pass's average burn rate.
+
+    memo, when given, maps each supply to its settled pass and spares the
+    two passes of a supply already simulated. The stack is sized to whole
+    grams and simulate reads the setpoint only as min(setpoint,
+    stack.rated_power), so every setpoint from a gram's rated power up to
+    the next rounding edge builds one supply; the key is the configuration
+    with that effective setpoint. The passes also depend on the profile
+    and dt, which the key leaves out: share a memo only among calls with
+    one profile and one dt, as optimize_setpoint does within one search.
+    Sizing, life and the feasibility tests run as without it, so the
+    evaluation is the same.
     """
     if setpoint < 0:
         raise ValidationError("setpoint must be >= 0")
@@ -364,8 +377,14 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     config = config_from_sizing(sized, constants=inputs.constants,
                                 battery_template=battery_template,
                                 degradation=degradation)
-    settle = simulate(config, profile, dt=dt)
-    res = simulate(config, profile, dt=dt, initial_soc=settle.soc_final)
+    supply = replace(config, controller=replace(
+        config.controller, fc_setpoint=min(setpoint, config.stack.rated_power)))
+    res = memo.get(supply) if memo is not None else None
+    if res is None:
+        settle = simulate(config, profile, dt=dt)
+        res = simulate(config, profile, dt=dt, initial_soc=settle.soc_final)
+        if memo is not None:
+            memo[supply] = res
     pass_h = res.run_time
     cap = config.battery.capacity_wh
     net_drain = (res.soc_initial - res.soc_final) * cap
@@ -409,14 +428,17 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs,
     its feasible end. A feasible 0 W is returned as it stands. Only if the
     walk reaches peak_power without a feasible setpoint does a grid sweep
     at grid_step W pick the longest-running feasible one, whose lower
-    edge is bisected the same way. Deterministic. Raises InfeasibleError
-    naming the binding constraint when no setpoint satisfies demand,
-    battery sustainability, and the life floor.
+    edge is bisected the same way. Setpoints that build the same supply
+    share one memo of settled passes (see evaluate_setpoint), so each
+    supply is simulated once per search. Deterministic. Raises
+    InfeasibleError naming the binding constraint when no setpoint
+    satisfies demand, battery sustainability, and the life floor.
     """
     for name, value in (("tolerance", tolerance), ("grid_step", grid_step)):
         if not (math.isfinite(value) and value > 0):
             raise ValidationError(f"{name} must be finite and > 0")
     cache: dict[float, SetpointEvaluation] = {}
+    memo: dict[HybridConfig, SimulationResult] = {}
     reasons: set[str] = set()
 
     def judge(x: float) -> tuple[float, SetpointEvaluation]:
@@ -424,7 +446,7 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs,
         if ev is None:
             ev = evaluate_setpoint(profile, inputs, x, dt=dt,
                                    battery_template=battery_template,
-                                   degradation=degradation)
+                                   degradation=degradation, memo=memo)
             cache[x] = ev
         if not ev.feasible:
             reasons.add(ev.reason)

@@ -271,6 +271,35 @@ class TestExitCodes:
         assert captured.out == ""
         assert named in captured.err
 
+    @pytest.mark.parametrize("text", [
+        b"time_s,power_w\xff\n0,45\n600,45\n",
+        b"time_s,power_w\n0,45\n\xff,45\n600,45\n",
+        b"time_s,power_w\n" + b"".join(b"%d,45\n" % i for i in range(2000))
+        + b"2000,4\xff5\n",
+    ], ids=["header", "first-rows", "past-the-first-read"])
+    @pytest.mark.parametrize("command", [["profile", "stats"], ["simulate"]])
+    def test_profile_that_is_not_utf8(self, tmp_path, capsys, text, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(text)
+        assert main([*command, "--profile", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"{bad} is not UTF-8 text" in captured.err
+
+    @pytest.mark.parametrize("command", [["simulate", "--profile", "load.csv"],
+                                         ["size"], ["compare"]])
+    def test_config_that_is_not_utf8(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        flat_profile_file(tmp_path)
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(b"[fuel_tank]\nfuel_mass = 0.5 # \xff\n")
+        assert main([*command, "--config", str(ini)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"{ini} is not UTF-8 text" in captured.err
+
     def test_missing_profile_file(self, tmp_path, capsys):
         assert main(["simulate", "--profile", str(tmp_path / "nope.csv")]) == 2
 

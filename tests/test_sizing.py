@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -52,6 +52,20 @@ def evaluations(monkeypatch):
         return ev
 
     monkeypatch.setattr(sizing, "evaluate_setpoint", counted)
+    return seen
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """How many times the sizing module has called simulate."""
+    seen = []
+    simulate = sizing.simulate
+
+    def counted(*args, **kwargs):
+        seen.append(None)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(sizing, "simulate", counted)
     return seen
 
 
@@ -414,6 +428,66 @@ class TestOptimizeSetpoint:
         best, sized = optimize_setpoint(flat_profile(load), INPUTS, dt=1.0)
         assert sized.feasible
         assert abs(best - lowest_servable_setpoint(load)) <= 1e-3
+
+
+GAIT_10 = synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=60.0))
+# the setpoints optimize_setpoint judged on GAIT_10 before settled passes
+# were shared; sharing them must not move one
+GAIT_10_SETPOINTS = [
+    52.000000000000014, 52.100000000000016, 52.05000000000001, 52.02500000000001,
+    52.03750000000001, 52.04375000000001, 52.046875000000014, 52.04843750000001,
+    52.04921875000001, 52.04960937500001, 52.049804687500014, 52.04990234375001,
+]
+# GAIT_10 and the flat 37 W load revisit supplies, WALK never does; on the
+# flat load every setpoint from 36.9 W up to the rounding edge at 37.05 W
+# builds the one 0.123 kg, 36.9 W supply
+SEARCHES = pytest.mark.parametrize("profile, dt, shares", [
+    (GAIT_10, 0.02, True),
+    (flat_profile(37.0), 1.0, True),
+    (synthesize_walk_profile(WALK), 0.02, False),
+], ids=["gait-10", "flat-37", "walk"])
+
+
+class TestSettledPassMemo:
+    @SEARCHES
+    def test_answer_is_that_of_a_search_without_it(self, profile, dt, shares,
+                                                   monkeypatch):
+        shared = optimize_setpoint(profile, INPUTS, dt=dt)
+        evaluate = sizing.evaluate_setpoint
+
+        def unshared(*args, memo=None, **kwargs):
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(sizing, "evaluate_setpoint", unshared)
+        alone = optimize_setpoint(profile, INPUTS, dt=dt)
+        assert repr((shared[0], astuple(shared[1]))) == \
+            repr((alone[0], astuple(alone[1])))
+
+    @SEARCHES
+    def test_repeated_supplies_are_simulated_once(self, profile, dt, shares,
+                                                  evaluations, simulations):
+        optimize_setpoint(profile, INPUTS, dt=dt)
+        if shares:
+            assert len(simulations) < 2 * len(evaluations)
+        else:
+            assert len(simulations) == 2 * len(evaluations)
+
+    def test_setpoint_sequence_is_unchanged(self, evaluations):
+        optimize_setpoint(GAIT_10, INPUTS, dt=0.02)
+        assert [ev.setpoint for ev in evaluations] == GAIT_10_SETPOINTS
+
+    def test_setpoints_above_rated_power_share_a_supply(self, simulations):
+        # 0.15 kg of stack is rated 45 W: 45.1 W builds the 45 W supply,
+        # while 44.9 W caps the same stack lower and is a supply of its own
+        walk = synthesize_walk_profile(WALK)
+        memo = {}
+        for x, total in ((45.0, 2), (45.1, 2), (44.9, 4)):
+            ev = evaluate_setpoint(walk, INPUTS, x, dt=0.02, memo=memo)
+            assert ev.sizing.stack_mass == 0.15
+            assert len(simulations) == total
+            assert ev == evaluate_setpoint(walk, INPUTS, x, dt=0.02)
+            del simulations[total:]
+        assert len(memo) == 2
 
 
 class TestBatteryTemplate:
