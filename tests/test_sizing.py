@@ -431,8 +431,8 @@ class TestOptimizeSetpoint:
 
 
 GAIT_10 = synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=60.0))
-# the setpoints optimize_setpoint judged on GAIT_10 before settled passes
-# were shared; sharing them must not move one
+# the setpoints a search without a memo judges on GAIT_10, taken from such
+# a search; sharing settled passes must not move one
 GAIT_10_SETPOINTS = [
     52.000000000000014, 52.100000000000016, 52.05000000000001, 52.02500000000001,
     52.03750000000001, 52.04375000000001, 52.046875000000014, 52.04843750000001,
