@@ -98,30 +98,20 @@ def dispatch_power(demand: float, fc_command: float, trickle_headroom: float,
     return EnergyFlow(time, demand, fc_output, actual, -residual, 0.0, state.soc), state
 
 
-def dispatch(demand: float, params: ControllerParams, spec: BatterySpec,
-             state: BatteryState, fuel_remaining_wh: float, dt: float,
-             time: float = 0.0) -> tuple[EnergyFlow, BatteryState]:
-    """Split one step of demand between fuel cell and battery.
-
-    The stack delivers min(fc_setpoint, what the remaining fuel can
-    sustain over dt). The battery then takes the signed residual, charge
-    requests capped at trickle_headroom of its power bound.
-    """
-    return dispatch_power(demand, params.fc_setpoint, params.trickle_headroom,
-                          spec, state, fuel_remaining_wh, dt, time)
-
-
 def measure_ripple(series) -> float:
     """Relative ripple (max - min) / mean over the steady half of a series.
 
-    The first half is discarded as startup transient. The steady window
-    must have a positive mean.
+    The first half is discarded as startup transient. A steady mean of
+    exactly 0 (a stack that is off) gives 0.0; an empty series or a
+    negative mean raises ValidationError. An array("d") is not copied.
     """
     arr = np.asarray(series, dtype=float)
     if arr.size == 0:
         raise ValidationError("ripple needs a non-empty series")
     steady = arr[arr.size // 2:]
     mean = float(steady.mean())
-    if mean <= 0.0:
-        raise ValidationError("ripple needs a positive-mean steady window")
+    if mean < 0.0:
+        raise ValidationError("ripple needs a non-negative-mean steady window")
+    if mean == 0.0:
+        return 0.0
     return float(steady.max() - steady.min()) / mean

@@ -54,12 +54,6 @@ class FuelCellStackSpec:
         sp = kwargs.pop("specific_power", STACK_SPECIFIC_POWER)
         return cls(rated_power=mass * sp, mass=mass, specific_power=sp, **kwargs)
 
-    @classmethod
-    def from_power(cls, rated_power: float, **kwargs) -> "FuelCellStackSpec":
-        sp = kwargs.pop("specific_power", STACK_SPECIFIC_POWER)
-        return cls(rated_power=rated_power, mass=rated_power / sp,
-                   specific_power=sp, **kwargs)
-
 
 @dataclass(frozen=True)
 class DegradationParams:
@@ -230,14 +224,6 @@ def battery_charge_acceptance(spec: BatterySpec, state: BatteryState, dt: float,
     if energy_limit < accepted:
         accepted = energy_limit
     return accepted if accepted > 0.0 else 0.0
-
-
-def battery_cycle_damage(spec: BatterySpec, state: BatteryState) -> float:
-    """Fraction of cycle life consumed: equivalent full cycles / cycle_life."""
-    cap = spec.capacity_wh
-    if cap <= 0.0:
-        raise ValidationError("cycle damage is undefined for a zero-capacity pack")
-    return (state.discharge_throughput / cap) / spec.cycle_life
 
 
 @dataclass(frozen=True)

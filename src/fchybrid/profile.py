@@ -1,4 +1,4 @@
-"""Mission power profiles: load, synthesize, summarize, resample.
+"""Mission power profiles: load, synthesize, summarize, emit.
 
 A profile is a sequence of (time, demand) samples interpreted with
 piecewise-constant hold: demand(t) = power[i] for times[i] <= t < times[i+1].
@@ -78,15 +78,6 @@ class PowerProfile:
     def duration(self) -> float:
         """Horizon in seconds (time of the last sample)."""
         return float(self.times[-1])
-
-    def demand_at(self, t: float) -> float:
-        """Held demand at time t; clamps outside [0, duration]."""
-        if t <= 0.0:
-            return float(self.power[0])
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        if i >= len(self.times) - 1:
-            return float(self.power[-1])
-        return float(self.power[i])
 
 
 @dataclass(frozen=True)
@@ -188,25 +179,6 @@ def profile_stats(profile: PowerProfile, idle_threshold: float | None = None) ->
         duration=duration,
         energy=energy_ws / 3600.0,
     )
-
-
-def resample(profile: PowerProfile, dt: float) -> PowerProfile:
-    """Project onto a uniform grid of spacing dt, keeping hold values.
-
-    The grid ends at round(duration / dt) steps, so up to half a step of
-    horizon is gained or lost; held energy moves by at most one
-    dt * peak_power per original transition. Resampling an already
-    uniform profile at its own spacing is an exact no-op, which makes the
-    operation idempotent.
-    """
-    if dt <= 0:
-        raise ValidationError("dt must be > 0")
-    n = max(1, int(round(profile.duration / dt)))
-    times = np.arange(n + 1) * dt
-    idx = np.searchsorted(profile.times, times, side="right") - 1
-    idx = np.clip(idx, 0, len(profile.times) - 1)
-    power = profile.power[idx]
-    return PowerProfile(times=times, power=power, name=profile.name)
 
 
 # samples formatted per pass of emit_profile
@@ -325,6 +297,9 @@ def load_profile(source: ProfileSource, name: str | None = None) -> PowerProfile
     finally:
         if owned:
             stream.close()
+        elif stream is not source:
+            # a collected wrapper would close the caller's binary stream
+            stream.detach()
     if name is None:
         name = Path(source).stem if isinstance(source, (str, Path)) else ""
     return PowerProfile(times=times, power=power, name=name)

@@ -67,7 +67,7 @@ def _row_from_config(config: HybridConfig, peak_power: float,
         capability = config.battery.max_power_w
         label = f"{config.battery.chemistry} battery"
     else:
-        load = min(config.controller.fc_setpoint, config.stack.rated_power)
+        load = config.effective_setpoint
         density = config.tank.specific_energy_electric
         capability = config.stack.rated_power
         if config.mode != MODE_BATTERY and config.battery.mass > 0:

@@ -21,6 +21,10 @@ into the loop. Each law then has one implementation, the one its tests
 check, and wrapping the names observes every step; the benchmark's traced
 run records the calls that way and replays them. Speed comes from keeping
 those functions and the loop's own bookkeeping lean instead.
+
+Ripple goes through ``controller.measure_ripple``. The suppression filter
+alone is written out in the loop: calling ``controller.suppression_filter``
+there measured 5 % slower per step; the tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .controller import ControllerParams, EnergyFlow, dispatch_power
+from .controller import ControllerParams, EnergyFlow, dispatch_power, measure_ripple
 from .errors import ValidationError
 from .powertrain import (
     BatterySpec,
@@ -84,6 +88,11 @@ class HybridConfig:
         """Supply mass in kg: stack + battery + fuel + electronics."""
         return (self.stack.mass + self.battery.mass
                 + self.tank.fuel_mass + self.electronics.mass)
+
+    @property
+    def effective_setpoint(self) -> float:
+        """fc_setpoint capped at the stack's rated power (fc_setpoint on a tie), W."""
+        return min(self.controller.fc_setpoint, self.stack.rated_power)
 
 
 @dataclass(slots=True)
@@ -185,7 +194,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     cap_wh = battery.capacity_wh
     soc_floor = battery.soc_min
     rated = config.stack.rated_power
-    setpoint = min(config.controller.fc_setpoint, rated)
+    setpoint = config.effective_setpoint
     ceiling = setpoint if is_hybrid else rated
     headroom = config.controller.trickle_headroom
     tau = config.controller.filter_time_constant
@@ -257,6 +266,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
             command = bus_demand + battery_charge_acceptance(battery, state, dt, headroom)
             if command > setpoint:
                 command = setpoint
+            # controller.suppression_filter written out: a call per step measured 5 % slower
             if filt is None:
                 filt = command
             else:
@@ -308,13 +318,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     if end_time_s is None:
         end_time_s = n * dt if termination != PROFILE_ENDED else min(n * dt, duration_s)
 
-    ripple = 0.0
-    if fc_series:
-        arr = np.frombuffer(fc_series)
-        steady = arr[arr.size // 2:]
-        mean = float(steady.mean())
-        if mean > 0.0:
-            ripple = float(steady.max() - steady.min()) / mean
+    ripple = measure_ripple(fc_series) if fc_series else 0.0
 
     fc_damage = 0.0
     if has_fuel_path and fc_on_h > 0.0:
@@ -372,9 +376,8 @@ def run_time_constant_load(config: HybridConfig, load: float,
             return RunTimeEstimate(0.0, False)
         return RunTimeEstimate(usable / bus, True)
 
-    ceiling = config.stack.rated_power
-    if config.mode == MODE_HYBRID:
-        ceiling = min(config.controller.fc_setpoint, ceiling)
+    ceiling = (config.effective_setpoint if config.mode == MODE_HYBRID
+               else config.stack.rated_power)
 
     if bus <= ceiling + 1e-12:
         hours = fuel / bus

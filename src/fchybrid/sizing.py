@@ -356,10 +356,10 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
 
     memo, when given, maps each supply to its settled pass and spares the
     two passes of a supply already simulated. The stack is sized to whole
-    grams and simulate reads the setpoint only as min(setpoint,
-    stack.rated_power), so every setpoint from a gram's rated power up to
+    grams and simulate reads the setpoint only as the configuration's
+    effective_setpoint, so every setpoint from a gram's rated power up to
     the next rounding edge builds one supply; the key is the configuration
-    with that effective setpoint. The passes also depend on the profile
+    with its setpoint replaced by that effective one. The passes also depend on the profile
     and dt, which the key leaves out: share a memo only among calls with
     one profile and one dt, as optimize_setpoint does within one search.
     Sizing, life and the feasibility tests run as without it, so the
@@ -378,7 +378,7 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
                                 battery_template=battery_template,
                                 degradation=degradation)
     supply = replace(config, controller=replace(
-        config.controller, fc_setpoint=min(setpoint, config.stack.rated_power)))
+        config.controller, fc_setpoint=config.effective_setpoint))
     res = memo.get(supply) if memo is not None else None
     if res is None:
         settle = simulate(config, profile, dt=dt)

@@ -5,7 +5,6 @@ import pytest
 
 from fchybrid.controller import (
     ControllerParams,
-    dispatch,
     dispatch_power,
     measure_ripple,
     suppression_filter,
@@ -118,16 +117,20 @@ class TestMeasureRipple:
         with pytest.raises(ValidationError):
             measure_ripple([])
 
-    def test_zero_mean_rejected(self):
+    def test_zero_mean_is_no_ripple(self):
+        assert measure_ripple([0.0] * 10) == 0.0
+        assert measure_ripple([-0.0] * 10) == 0.0
+        assert measure_ripple([45.0] * 10 + [0.0] * 10) == 0.0  # stack off
+
+    def test_negative_mean_rejected(self):
         with pytest.raises(ValidationError):
-            measure_ripple([0.0] * 10)
+            measure_ripple([45.0] * 10 + [-1.0] * 10)
 
 
 class TestDispatch:
     def test_exact_match(self):
-        params = ControllerParams(fc_setpoint=45.0)
-        flow, state = dispatch(45.0, params, pack(), BatteryState(soc=0.5),
-                               fuel_remaining_wh=100.0, dt=1.0)
+        flow, state = dispatch_power(45.0, 45.0, 1.0, pack(), BatteryState(soc=0.5),
+                                     fuel_remaining_wh=100.0, dt=1.0)
         assert flow.fc_output == 45.0
         assert flow.battery_power == 0.0
         assert flow.unmet == 0.0
@@ -135,67 +138,59 @@ class TestDispatch:
         assert state.soc == 0.5
 
     def test_peak_draws_battery(self):
-        params = ControllerParams(fc_setpoint=45.0)
-        flow, _ = dispatch(250.0, params, pack(), BatteryState(soc=1.0),
-                           fuel_remaining_wh=100.0, dt=1.0)
+        flow, _ = dispatch_power(250.0, 45.0, 1.0, pack(), BatteryState(soc=1.0),
+                                 fuel_remaining_wh=100.0, dt=1.0)
         assert flow.fc_output == 45.0
         assert flow.battery_power == 205.0
         assert flow.unmet == 0.0
 
     def test_full_battery_curtails_surplus(self):
-        params = ControllerParams(fc_setpoint=45.0)
-        flow, _ = dispatch(40.0, params, pack(), BatteryState(soc=1.0),
-                           fuel_remaining_wh=100.0, dt=1.0)
+        flow, _ = dispatch_power(40.0, 45.0, 1.0, pack(), BatteryState(soc=1.0),
+                                 fuel_remaining_wh=100.0, dt=1.0)
         assert flow.fc_output == 45.0
         assert flow.battery_power == 0.0
         assert flow.curtailed == 5.0
         assert flow.unmet == 0.0
 
     def test_idle_surplus_trickle_charges(self):
-        params = ControllerParams(fc_setpoint=45.0)
-        flow, state = dispatch(40.0, params, pack(), BatteryState(soc=0.5),
-                               fuel_remaining_wh=100.0, dt=1.0)
+        flow, state = dispatch_power(40.0, 45.0, 1.0, pack(), BatteryState(soc=0.5),
+                                     fuel_remaining_wh=100.0, dt=1.0)
         assert flow.battery_power == -5.0
         assert flow.curtailed == 0.0
         assert state.soc > 0.5
 
     def test_trickle_headroom_caps_charge(self):
-        params = ControllerParams(fc_setpoint=45.0, trickle_headroom=0.01)
         spec = pack(power_w=250.0)
-        flow, _ = dispatch(10.0, params, spec, BatteryState(soc=0.2),
-                           fuel_remaining_wh=100.0, dt=1.0)
+        flow, _ = dispatch_power(10.0, 45.0, 0.01, spec, BatteryState(soc=0.2),
+                                 fuel_remaining_wh=100.0, dt=1.0)
         assert -flow.battery_power <= 0.01 * spec.max_power_w + 1e-12
         assert flow.curtailed > 0.0
 
     def test_fuel_limits_output(self):
-        params = ControllerParams(fc_setpoint=45.0)
         # 0.01 Wh sustains 36 W for one second
-        flow, _ = dispatch(45.0, params, pack(), BatteryState(soc=1.0),
-                           fuel_remaining_wh=0.01, dt=1.0)
+        flow, _ = dispatch_power(45.0, 45.0, 1.0, pack(), BatteryState(soc=1.0),
+                                 fuel_remaining_wh=0.01, dt=1.0)
         assert math.isclose(flow.fc_output, 36.0)
         assert math.isclose(flow.battery_power, 9.0)
 
     def test_no_fuel_no_output(self):
-        params = ControllerParams(fc_setpoint=45.0)
-        flow, _ = dispatch(45.0, params, pack(), BatteryState(soc=1.0),
-                           fuel_remaining_wh=0.0, dt=1.0)
+        flow, _ = dispatch_power(45.0, 45.0, 1.0, pack(), BatteryState(soc=1.0),
+                                 fuel_remaining_wh=0.0, dt=1.0)
         assert flow.fc_output == 0.0
         assert flow.battery_power == 45.0
 
     def test_dead_supply_reports_unmet(self):
-        params = ControllerParams(fc_setpoint=45.0)
-        flow, _ = dispatch(45.0, params, pack(soc_min=0.0), BatteryState(soc=0.0),
-                           fuel_remaining_wh=0.0, dt=1.0)
+        flow, _ = dispatch_power(45.0, 45.0, 1.0, pack(soc_min=0.0), BatteryState(soc=0.0),
+                                 fuel_remaining_wh=0.0, dt=1.0)
         assert flow.unmet == 45.0
         assert flow.fc_output == 0.0
         assert flow.battery_power == 0.0
 
     def test_validation(self):
-        params = ControllerParams(fc_setpoint=45.0)
         with pytest.raises(ValidationError):
-            dispatch(-1.0, params, pack(), BatteryState(soc=0.5), 100.0, 1.0)
+            dispatch_power(-1.0, 45.0, 1.0, pack(), BatteryState(soc=0.5), 100.0, 1.0)
         with pytest.raises(ValidationError):
-            dispatch(45.0, params, pack(), BatteryState(soc=0.5), 100.0, 0.0)
+            dispatch_power(45.0, 45.0, 1.0, pack(), BatteryState(soc=0.5), 100.0, 0.0)
 
 
 class TestDispatchProperties:

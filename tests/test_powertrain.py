@@ -15,7 +15,6 @@ from fchybrid.powertrain import (
     FuelCellStackSpec,
     FuelTankSpec,
     battery_charge_acceptance,
-    battery_cycle_damage,
     battery_step,
     fc_efficiency,
     fc_life,
@@ -100,11 +99,6 @@ class TestStackSpec:
         s = FuelCellStackSpec.from_mass(0.15)
         assert s.rated_power == 45.0
         assert s.mass == 0.15
-
-    def test_from_power(self):
-        s = FuelCellStackSpec.from_power(90.0)
-        assert s.mass == 0.3
-        assert s.rated_power == 90.0
 
     def test_voltage_window(self):
         with pytest.raises(ValidationError):
@@ -308,36 +302,6 @@ class TestChargeAcceptance:
     def test_zero_capacity(self):
         assert battery_charge_acceptance(pack().scaled(0.0),
                                          BatteryState(soc=0.0), 1.0) == 0.0
-
-
-class TestCycleDamage:
-    def test_fresh_pack(self):
-        spec = pack(capacity_wh=48.0)
-        assert battery_cycle_damage(spec, BatteryState(soc=1.0)) == 0.0
-
-    def test_thousand_cycles_is_full_damage(self):
-        spec = pack(capacity_wh=48.0)
-        state = BatteryState(soc=0.5, discharge_throughput=48000.0)
-        assert battery_cycle_damage(spec, state) == 1.0
-
-    def test_half_cycle(self):
-        spec = pack(capacity_wh=144.0)
-        state = BatteryState(soc=0.5, discharge_throughput=72.0)
-        assert battery_cycle_damage(spec, state) == 0.0005
-
-    def test_monotone_over_steps(self):
-        spec = pack(capacity_wh=5.0)
-        state = BatteryState(soc=1.0)
-        last = 0.0
-        for _ in range(50):
-            state, _ = battery_step(spec, state, 3.0, 60.0)
-            damage = battery_cycle_damage(spec, state)
-            assert damage >= last
-            last = damage
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValidationError):
-            battery_cycle_damage(pack().scaled(0.0), BatteryState(soc=0.5))
 
 
 class TestTankAndElectronics:

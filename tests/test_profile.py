@@ -1,9 +1,11 @@
+import gc
 import io
 import math
 
 import numpy as np
 import pytest
 
+from fchybrid import profile as profile_module
 from fchybrid.errors import ProfileParseError, ValidationError
 from fchybrid.profile import (
     _CHUNK,
@@ -13,7 +15,6 @@ from fchybrid.profile import (
     emit_profile,
     load_profile,
     profile_stats,
-    resample,
     synthesize_walk_profile,
 )
 
@@ -61,16 +62,6 @@ class TestPowerProfile:
             p.times[0] = 5.0
         with pytest.raises(ValueError):
             p.power[0] = 5.0
-
-    def test_hold_lookup(self):
-        p = make([0.0, 1.0, 3.0], [10.0, 20.0, 30.0])
-        assert p.demand_at(-1.0) == 10.0
-        assert p.demand_at(0.0) == 10.0
-        assert p.demand_at(0.5) == 10.0
-        assert p.demand_at(1.0) == 20.0  # boundary belongs to the new level
-        assert p.demand_at(2.9) == 20.0
-        assert p.demand_at(3.0) == 30.0
-        assert p.demand_at(99.0) == 30.0
 
     def test_equality(self):
         a = make([0.0, 1.0], [1.0, 2.0], name="a")
@@ -194,48 +185,6 @@ class TestProfileStats:
         assert profile_stats(p, idle_threshold=70.0).idle_fraction == 1.0
 
 
-class TestResample:
-    def test_uniform_self_resample_is_identity(self):
-        g = GaitParams(duration=10.0)
-        p = synthesize_walk_profile(g, step=0.5)
-        q = resample(p, 0.5)
-        assert np.array_equal(q.times, p.times)
-        assert np.array_equal(q.power, p.power)
-
-    def test_idempotent(self):
-        p = make([0.0, 0.7, 1.9, 3.0], [10.0, 50.0, 20.0, 20.0])
-        q1 = resample(p, 0.25)
-        q2 = resample(q1, 0.25)
-        assert np.array_equal(q1.times, q2.times)
-        assert np.array_equal(q1.power, q2.power)
-
-    def test_keeps_hold_values(self):
-        p = make([0.0, 0.7, 1.9, 3.0], [10.0, 50.0, 20.0, 20.0])
-        q = resample(p, 0.5)
-        for t, v in zip(q.times, q.power):
-            assert v == p.demand_at(float(t))
-
-    def test_energy_drift_bounded(self):
-        g = GaitParams(base_load=40.0, gait_period=1.0, stride_duty=0.6,
-                       mech_peak=10.0, duration=30.0)
-        p = synthesize_walk_profile(g, step=0.02)
-        dt = 0.3  # deliberately off the duty boundary
-        q = resample(p, dt)
-        drift = abs(profile_stats(q).energy - profile_stats(p).energy)
-        transitions = int(np.count_nonzero(np.diff(p.power))) + 1
-        assert drift <= transitions * dt * p.power.max() / 3600.0
-
-    def test_coarser_than_duration(self):
-        p = make([0.0, 1.0], [10.0, 10.0])
-        q = resample(p, 10.0)
-        assert len(q) == 2
-        assert q.times[-1] == 10.0
-
-    def test_dt_validation(self):
-        with pytest.raises(ValidationError):
-            resample(make([0.0, 1.0], [1.0, 1.0]), 0.0)
-
-
 class TestEmitLoad:
     def test_emit_format(self):
         p = make([0.0, 1.0, 2.0], [40.0, 60.0, 40.0])
@@ -287,6 +236,28 @@ class TestEmitLoad:
         from_binary_io = load_profile(io.BytesIO(text.encode()))
         assert from_bytes == from_text_io == from_binary_io
         assert from_bytes.power[1] == 6.0
+
+    @pytest.mark.parametrize("rows, scanned", [(b"0,1\n1,2\n", 0), (b"0,1\n1_0,2\n", 1)],
+                             ids=["bulk", "line_scan"])
+    def test_caller_binary_stream_left_open(self, monkeypatch, rows, scanned):
+        # the text wrapper around a caller's binary stream must not close
+        # it when collected; 1_0 is a float() number np.loadtxt rejects
+        calls = []
+        scan_rows = profile_module._scan_rows
+
+        def counting_scan(*args):
+            calls.append(None)  # not the stream: a reference would keep it open
+            return scan_rows(*args)
+
+        monkeypatch.setattr(profile_module, "_scan_rows", counting_scan)
+        data = f"{CSV_HEADER}\n".encode() + rows
+        stream = io.BytesIO(data)
+        assert len(load_profile(stream)) == 2
+        assert len(calls) == scanned
+        gc.collect()
+        assert not stream.closed
+        stream.seek(0)
+        assert stream.read() == data
 
     def test_load_accepts_bom(self):
         text = f"﻿{CSV_HEADER}\n0,5\n1,6\n"

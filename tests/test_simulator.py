@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fchybrid import controller, presets, simulator
-from fchybrid.controller import ControllerParams
+from fchybrid.controller import ControllerParams, measure_ripple, suppression_filter
 from fchybrid.errors import ValidationError
 from fchybrid.powertrain import (
+    STACK_SPECIFIC_POWER,
     BatterySpec,
     DegradationParams,
     ElectronicsSpec,
@@ -45,18 +46,22 @@ def small_battery(capacity_wh, power_w, soc_min=0.1):
                        discharge_efficiency=1.0, soc_min=soc_min, soc_max=1.0)
 
 
+def stack(rated):
+    return FuelCellStackSpec(rated_power=rated, mass=rated / STACK_SPECIFIC_POWER)
+
+
 NO_BATTERY = BatterySpec(chemistry="none", mass=0.0, specific_energy=90.0,
                          specific_power=250.0)
 
 
 def tiny_hybrid(fuel_wh=45.0, capacity_wh=5.0, power_w=250.0, setpoint=45.0,
-                rated=90.0):
+                rated=90.0, headroom=1.0):
     """Hybrid with round-number energy stores for closed-form cross-checks."""
     return HybridConfig(
-        stack=FuelCellStackSpec.from_power(rated),
+        stack=stack(rated),
         battery=small_battery(capacity_wh, power_w),
         tank=FuelTankSpec(fuel_mass=0.5, specific_energy_electric=fuel_wh / 0.5),
-        controller=ControllerParams(fc_setpoint=setpoint),
+        controller=ControllerParams(fc_setpoint=setpoint, trickle_headroom=headroom),
     )
 
 
@@ -72,7 +77,7 @@ class TestDefaultDt:
 class TestHybridConfig:
     def test_battery_only_rejects_fuel(self):
         with pytest.raises(ValidationError):
-            HybridConfig(stack=FuelCellStackSpec.from_power(45.0),
+            HybridConfig(stack=stack(45.0),
                          battery=small_battery(48.0, 300.0),
                          tank=FuelTankSpec(fuel_mass=0.0),
                          mode=MODE_BATTERY)
@@ -86,17 +91,27 @@ class TestHybridConfig:
 
     def test_direct_rejects_battery_mass(self):
         with pytest.raises(ValidationError):
-            HybridConfig(stack=FuelCellStackSpec.from_power(90.0),
+            HybridConfig(stack=stack(90.0),
                          battery=small_battery(48.0, 300.0),
                          tank=FuelTankSpec(fuel_mass=0.9),
                          mode=MODE_DIRECT)
 
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
-            HybridConfig(stack=FuelCellStackSpec.from_power(45.0),
+            HybridConfig(stack=stack(45.0),
                          battery=NO_BATTERY,
                          tank=FuelTankSpec(fuel_mass=0.8),
                          mode="solar")
+
+    @pytest.mark.parametrize("setpoint, rated, expected", [
+        (30.0, 90.0, 30.0), (120.0, 90.0, 90.0), (-0.0, 0.0, -0.0), (0.0, -0.0, 0.0)])
+    def test_effective_setpoint(self, setpoint, rated, expected):
+        cfg = HybridConfig(stack=FuelCellStackSpec(rated_power=rated, mass=0.3),
+                           battery=NO_BATTERY, tank=FuelTankSpec(fuel_mass=0.1),
+                           controller=ControllerParams(fc_setpoint=setpoint))
+        got = cfg.effective_setpoint
+        assert got == expected
+        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
 
     def test_total_mass(self):
         cfg = presets.hybrid_config()
@@ -241,7 +256,7 @@ class TestSimulationInvariants:
         totals = []
         for setpoint in (30.0, 40.0, 50.0, 60.0):
             cfg = HybridConfig(
-                stack=FuelCellStackSpec.from_power(90.0),
+                stack=stack(90.0),
                 battery=small_battery(2.0, 30.0, soc_min=0.0),
                 tank=FuelTankSpec(fuel_mass=1.0),
                 controller=ControllerParams(fc_setpoint=setpoint),
@@ -396,7 +411,7 @@ class TestStepPathContract:
 
     @pytest.mark.parametrize("make_config, ending", [
         (lambda: tiny_hybrid(fuel_wh=0.5, capacity_wh=0.2), FUEL_EXHAUSTED),
-        (lambda: HybridConfig(stack=FuelCellStackSpec.from_power(90.0), battery=NO_BATTERY,
+        (lambda: HybridConfig(stack=stack(90.0), battery=NO_BATTERY,
                               tank=FuelTankSpec(fuel_mass=0.0001),
                               mode=MODE_DIRECT), FUEL_EXHAUSTED),
         (lambda: HybridConfig(stack=FuelCellStackSpec(rated_power=0.0, mass=0.0),
@@ -424,6 +439,117 @@ class TestStepPathContract:
         assert res.steps == 5
         self.check(calls, cfg.mode, res)
         assert res.flows == calls["dispatched"][::stride]
+
+
+def lossy_hybrid():
+    """Converter and charge losses, partial trickle headroom, a fast filter."""
+    return HybridConfig(
+        stack=stack(90.0),
+        battery=BatterySpec(chemistry="test", mass=1.0, specific_energy=0.5,
+                            specific_power=60.0, charge_efficiency=0.9,
+                            discharge_efficiency=0.92, soc_min=0.2, soc_max=0.95),
+        tank=FuelTankSpec(fuel_mass=0.5, specific_energy_electric=1.0),
+        electronics=ElectronicsSpec(converter_efficiency=0.88),
+        controller=ControllerParams(fc_setpoint=60.0, filter_time_constant=0.3,
+                                    trickle_headroom=0.1),
+    )
+
+
+def gait(duration=20.0):
+    return synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=duration))
+
+
+class TestInlineFilter:
+    """simulate writes the suppression filter out in its step loop. Every
+    stack command it dispatches equals controller.suppression_filter folded
+    over min(demand + charge acceptance, effective setpoint), bit for bit.
+    In each case the command moves with the load and only sometimes
+    reaches the setpoint, so the filter has work to do."""
+
+    @pytest.mark.parametrize("loop", [False, True], ids=["once", "looped"])
+    @pytest.mark.parametrize("make_config, make_profile", [
+        (lambda: tiny_hybrid(fuel_wh=0.5, capacity_wh=0.2, setpoint=55.0,
+                             headroom=0.02), gait),
+        (lambda: tiny_hybrid(fuel_wh=0.5, capacity_wh=0.2),
+         lambda: steps([0.0, 4.0, 4.5, 10.0], [40.0, 200.0, 40.0, 40.0])),
+        (lossy_hybrid, gait),
+    ], ids=["gait", "spike", "lossy"])
+    def test_commands_follow_the_reference_filter(self, monkeypatch, make_config,
+                                                  make_profile, loop):
+        accepted, dispatched = [], []
+        acceptance = simulator.battery_charge_acceptance
+        dispatch_power = simulator.dispatch_power
+
+        def recording_acceptance(*args, **kwargs):
+            accepted.append(acceptance(*args, **kwargs))
+            return accepted[-1]
+
+        def recording_dispatch(demand, fc_command, *args, **kwargs):
+            dispatched.append((demand, fc_command))
+            return dispatch_power(demand, fc_command, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "battery_charge_acceptance", recording_acceptance)
+        monkeypatch.setattr(simulator, "dispatch_power", recording_dispatch)
+        cfg, profile, dt = make_config(), make_profile(), 0.05
+        res = simulate(cfg, profile, dt=dt, loop_profile=loop)
+        assert len(accepted) == len(dispatched) == res.steps > 0
+        if loop:
+            assert res.run_time * 3600.0 > profile.duration  # the profile wrapped
+        tau = cfg.controller.filter_time_constant
+        filt = None
+        capped = 0
+        for acc, (demand, command) in zip(accepted, dispatched):
+            commanded = min(demand + acc, cfg.effective_setpoint)
+            capped += commanded == cfg.effective_setpoint
+            filt = commanded if filt is None else suppression_filter(filt, commanded, dt, tau)
+            assert command == filt
+        assert 0 < capped < res.steps
+
+
+class TestHoldRule:
+    """demand(t) = power[i] for times[i] <= t < times[i+1], read off the
+    stride-1 flows of simulate."""
+
+    PROFILE = steps([0.0, 1.0, 3.0], [10.0, 20.0, 30.0])
+    ONE_PASS = [10.0, 10.0, 20.0, 20.0, 20.0, 20.0]
+
+    def test_sample_boundary_belongs_to_the_new_level(self):
+        res = simulate(presets.hybrid_config(), self.PROFILE, dt=0.5,
+                       record_flows=True, flow_stride=1)
+        assert [f.time for f in res.flows] == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+        assert [f.demand for f in res.flows] == self.ONE_PASS
+
+    def test_looped_run_restarts_at_sample_zero(self):
+        res = simulate(tiny_hybrid(fuel_wh=0.05, capacity_wh=0.05), self.PROFILE,
+                       dt=0.5, loop_profile=True, record_flows=True, flow_stride=1)
+        assert res.termination == FUEL_EXHAUSTED
+        assert res.steps > 3 * len(self.ONE_PASS)
+        assert [f.demand for f in res.flows] == [
+            self.ONE_PASS[n % len(self.ONE_PASS)] for n in range(res.steps)]
+
+
+class TestRippleContract:
+    """simulate reports measure_ripple of the stack output it dispatched."""
+
+    @pytest.mark.parametrize("make_config", [
+        lambda: tiny_hybrid(fuel_wh=5.0, capacity_wh=0.2, setpoint=55.0, headroom=0.02),
+        presets.direct_fc_config], ids=[MODE_HYBRID, MODE_DIRECT])
+    def test_ripple_of_the_stride1_stack_output(self, make_config):
+        res = simulate(make_config(), gait(60.0), dt=0.05, record_flows=True,
+                       flow_stride=1)
+        assert res.termination == PROFILE_ENDED
+        series = [f.fc_output for f in res.flows]
+        assert len(series) == res.steps
+        assert res.ripple == measure_ripple(series) > 0.0
+
+    def test_stack_off_over_the_steady_half_is_no_ripple(self):
+        # 0.01 Wh of fuel lasts one step; the battery carries the rest
+        res = simulate(tiny_hybrid(fuel_wh=0.01, capacity_wh=1.0), flat(45.0),
+                       dt=1.0, record_flows=True, flow_stride=1)
+        assert res.termination == FUEL_EXHAUSTED
+        series = [f.fc_output for f in res.flows]
+        assert set(series[res.steps // 2:]) == {0.0}
+        assert res.ripple == measure_ripple(series) == 0.0
 
 
 class TestRunTimeConstantLoad:
