@@ -17,6 +17,7 @@ from .presets import (
     LIION_TEMPLATE,
     NANO_TEMPLATE,
     NIMH_TEMPLATE,
+    comparison_configs,
     comparison_sizings,
 )
 from .profile import (
@@ -115,7 +116,7 @@ def _cmd_size(args) -> int:
 
 def _cmd_compare(args) -> int:
     if args.table1:
-        entries = comparison_sizings()
+        entries = comparison_configs()
     elif args.config:
         entries = [load_supply_config(path) for path in args.config]
     else:

@@ -97,3 +97,8 @@ def direct_fc_config() -> HybridConfig:
 def hybrid_config() -> HybridConfig:
     return config_from_sizing(hybrid_sizing(), constants=CONSTANTS,
                               battery_template=NANO_TEMPLATE)
+
+
+def comparison_configs() -> list[HybridConfig]:
+    """The four supply options as configurations, battery packs first."""
+    return [nimh_config(), liion_config(), direct_fc_config(), hybrid_config()]

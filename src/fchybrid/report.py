@@ -24,6 +24,8 @@ from .profile import ProfileStats
 from .simulator import (
     HybridConfig,
     MODE_BATTERY,
+    MODE_DIRECT,
+    MODE_HYBRID,
     SimulationResult,
     run_time_constant_load,
 )
@@ -44,18 +46,7 @@ class ComparisonRow:
     feasible_at_peak: bool
 
 
-def _row_from_sizing(result: SizingResult, peak_power: float) -> ComparisonRow:
-    battery_mode = result.mode == MODE_BATTERY
-    return ComparisonRow(
-        label=result.label or result.mode,
-        stack_mass=None if battery_mode else result.stack_mass,
-        fuel_mass=None if battery_mode else result.fuel_mass,
-        energy_density=result.energy_density,
-        system_life=result.system_life,
-        run_time=result.run_time,
-        load_basis=result.load_basis,
-        feasible_at_peak=result.peak_capability >= peak_power,
-    )
+_FUEL_LABELS = {MODE_DIRECT: "fuel cell", MODE_HYBRID: "fuel cell hybrid"}
 
 
 def _row_from_config(config: HybridConfig, peak_power: float,
@@ -66,16 +57,18 @@ def _row_from_config(config: HybridConfig, peak_power: float,
         density = config.battery.specific_energy
         capability = config.battery.max_power_w
         label = f"{config.battery.chemistry} battery"
+        initial_soc = None
     else:
-        load = config.effective_setpoint
+        load = config.effective_setpoint * config.electronics.converter_efficiency
         density = config.tank.specific_energy_electric
         capability = config.stack.rated_power
-        if config.mode != MODE_BATTERY and config.battery.mass > 0:
+        if config.battery.mass > 0:
             capability += config.battery.max_power_w
-        label = config.mode.replace("_", " ")
+        label = _FUEL_LABELS[config.mode]
+        initial_soc = config.battery.soc_min
     if load <= 0:
         raise ValidationError("comparison needs a positive load basis")
-    estimate = run_time_constant_load(config, load)
+    estimate = run_time_constant_load(config, load, initial_soc=initial_soc)
     life = system_life(config, run_time=estimate.hours)
     return ComparisonRow(
         label=label,
@@ -91,21 +84,19 @@ def _row_from_config(config: HybridConfig, peak_power: float,
 
 def compare(entries, peak_power: float = 250.0,
             battery_load: float = 16.0) -> list[ComparisonRow]:
-    """Build comparison rows from sizing results or configurations.
+    """Rate each configuration as one comparison row, labelled by mode.
 
-    peak_power is the demand spike every option is judged against;
-    battery_load is the draw used to rate battery-only configurations
-    that carry no load basis of their own.
+    A fuel supply runs on its fuel alone (pack at its floor) at the most
+    its stack sustains: effective_setpoint times the converter efficiency.
+    A battery pack runs from full at battery_load. peak_power is the
+    demand spike every option is judged against.
     """
     rows = []
     for entry in entries:
-        if isinstance(entry, SizingResult):
-            rows.append(_row_from_sizing(entry, peak_power))
-        elif isinstance(entry, HybridConfig):
-            rows.append(_row_from_config(entry, peak_power, battery_load))
-        else:
+        if not isinstance(entry, HybridConfig):
             raise ValidationError(
                 f"cannot compare a {type(entry).__name__}")
+        rows.append(_row_from_config(entry, peak_power, battery_load))
     return rows
 
 

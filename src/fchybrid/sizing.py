@@ -37,6 +37,9 @@ from .simulator import (
 from .controller import ControllerParams
 
 
+_CELL_VOLTAGE = 0.8  # V, a hybrid stack's operating point
+
+
 def _to_gram(mass_kg: float) -> float:
     # component allocations land on whole grams; fuel absorbs the remainder
     return round(mass_kg, 3)
@@ -142,7 +145,7 @@ def _reservoir_need_wh(profile: PowerProfile, steady: float) -> float:
     return worst
 
 
-def size_hybrid(inputs: SizingInputs, *, cell_voltage: float = 0.8,
+def size_hybrid(inputs: SizingInputs, *, cell_voltage: float = _CELL_VOLTAGE,
                 degradation: DegradationParams = DegradationParams(),
                 profile: PowerProfile | None = None,
                 label: str = "") -> SizingResult:
@@ -258,9 +261,9 @@ def size_battery_only(template: BatterySpec, mass_budget: float,
     )
 
 
-def system_life(subject, run_time: float | None = None, *,
+def system_life(config: HybridConfig, run_time: float | None = None, *,
                 battery_cycles: float = 0.0, ripple: float = 0.0) -> float:
-    """Service-life horizon in hours for a configuration or sizing result.
+    """Service-life horizon of a configuration in hours.
 
     Battery packs last cycle_life full cycles, so their horizon scales
     with run-time per cycle. Fuel-cell supplies are bound by the voltage
@@ -268,12 +271,6 @@ def system_life(subject, run_time: float | None = None, *,
     battery's cycle horizon (infinite when the run cycles it zero times,
     as a steady load does).
     """
-    if isinstance(subject, SizingResult):
-        if subject.mode == MODE_BATTERY and run_time is not None and subject.run_time > 0.0:
-            # the result's own life over its run-time is the pack's cycle life
-            return subject.system_life / subject.run_time * run_time
-        return subject.system_life
-    config: HybridConfig = subject
     if config.mode == MODE_BATTERY:
         if run_time is None:
             raise ValidationError("battery life needs the run_time per cycle")
@@ -290,39 +287,34 @@ def system_life(subject, run_time: float | None = None, *,
 def config_from_sizing(result: SizingResult, *,
                        constants: SizingConstants = SizingConstants(),
                        battery_template: BatterySpec | None = None,
-                       cell_voltage: float = 0.8,
+                       cell_voltage: float = _CELL_VOLTAGE,
                        stress_voltage: float = 0.95,
-                       controller: ControllerParams | None = None,
                        degradation: DegradationParams = DegradationParams()) -> HybridConfig:
-    """Build a simulatable configuration realizing a sizing result."""
+    """Build a simulatable configuration realizing a sizing result.
+
+    Both fuel modes get fc_setpoint = result.load_basis. A direct stack
+    follows the load up to its rating, so in direct_fc mode only the
+    comparison reads the setpoint, as its row's load basis.
+    """
     if battery_template is None:
         battery_template = default_battery_template(constants)
-    battery = battery_template.scaled(result.battery_mass)
-    tank = FuelTankSpec(fuel_mass=result.fuel_mass,
-                        specific_energy_electric=constants.fuel_specific_energy)
-    if result.mode == MODE_HYBRID:
-        stack = FuelCellStackSpec.from_mass(
-            result.stack_mass, cell_voltage=cell_voltage,
-            specific_power=constants.stack_specific_power)
-        if controller is None:
-            controller = ControllerParams(fc_setpoint=result.load_basis)
-        electronics = ElectronicsSpec(mass=result.electronics_mass)
-    elif result.mode == MODE_DIRECT:
-        stack = FuelCellStackSpec.from_mass(
-            result.stack_mass, cell_voltage=stress_voltage,
-            specific_power=constants.stack_specific_power)
-        if controller is None:
-            controller = ControllerParams(fc_setpoint=stack.rated_power)
-        electronics = ElectronicsSpec(mass=result.electronics_mass)
-    else:
+    if result.mode == MODE_BATTERY:
         stack = FuelCellStackSpec(rated_power=0.0, mass=0.0,
                                   cell_voltage=cell_voltage)
-        if controller is None:
-            controller = ControllerParams(fc_setpoint=0.0)
-        electronics = ElectronicsSpec(mass=result.electronics_mass)
-    return HybridConfig(stack=stack, battery=battery, tank=tank,
-                        electronics=electronics, controller=controller,
-                        degradation=degradation, mode=result.mode)
+        setpoint = 0.0
+    else:
+        stack = FuelCellStackSpec.from_mass(
+            result.stack_mass,
+            cell_voltage=stress_voltage if result.mode == MODE_DIRECT else cell_voltage,
+            specific_power=constants.stack_specific_power)
+        setpoint = result.load_basis
+    return HybridConfig(
+        stack=stack, battery=battery_template.scaled(result.battery_mass),
+        tank=FuelTankSpec(fuel_mass=result.fuel_mass,
+                          specific_energy_electric=constants.fuel_specific_energy),
+        electronics=ElectronicsSpec(mass=result.electronics_mass),
+        controller=ControllerParams(fc_setpoint=setpoint),
+        degradation=degradation, mode=result.mode)
 
 
 @dataclass(frozen=True)
@@ -432,11 +424,18 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs,
     share one memo of settled passes (see evaluate_setpoint), so each
     supply is simulated once per search. Deterministic. Raises
     InfeasibleError naming the binding constraint when no setpoint
-    satisfies demand, battery sustainability, and the life floor.
+    satisfies demand, battery sustainability, and the life floor. A life
+    floor above the stack's zero-ripple life raises before any evaluation:
+    ripple and the battery's cycle horizon only lower a setpoint's life.
     """
     for name, value in (("tolerance", tolerance), ("grid_step", grid_step)):
         if not (math.isfinite(value) and value > 0):
             raise ValidationError(f"{name} must be finite and > 0")
+    bound = fc_life(_CELL_VOLTAGE, 0.0, degradation)
+    if life_floor > bound:
+        raise InfeasibleError(
+            f"life floor {life_floor:g} h exceeds the stack's zero-ripple life "
+            f"{bound:g} h (binding: system_life)", binding_constraint="system_life")
     cache: dict[float, SetpointEvaluation] = {}
     memo: dict[HybridConfig, SimulationResult] = {}
     reasons: set[str] = set()

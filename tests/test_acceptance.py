@@ -69,8 +69,7 @@ def test_acceptance_3_degradation_anchors(capsys):
 
 def test_acceptance_4_oracle_equivalence(capsys):
     started = time.perf_counter()
-    configs = [presets.nimh_config(), presets.liion_config(),
-               presets.direct_fc_config(), presets.hybrid_config()]
+    configs = presets.comparison_configs()
     loads = (10.0, 16.0, 30.0, 45.0, 60.0)
     dt = 5.0
     ok = True

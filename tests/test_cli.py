@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import fchybrid
+from fchybrid import presets
 from fchybrid.cli import main
+from test_config import supply_text
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -178,9 +180,18 @@ class TestCompareCommand:
         b.write_text("[controller]\nfc_setpoint_w = 40\n")
         assert main(["compare", "--config", str(a), "--config", str(b)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert [row["label"] for row in payload] == ["hybrid", "hybrid"]
+        assert [row["label"] for row in payload] == ["fuel cell hybrid"] * 2
         assert payload[0]["load_basis_w"] == 45.0
         assert payload[1]["load_basis_w"] == 40.0
+
+    def test_preset_inis_give_the_reference_table(self, tmp_path, capsys):
+        args = ["compare", "--format", "csv"]
+        for i, cfg in enumerate(presets.comparison_configs()):
+            ini = tmp_path / f"preset{i}.ini"
+            ini.write_text(supply_text(cfg))
+            args += ["--config", str(ini)]
+        assert main(args) == 0
+        assert capsys.readouterr().out == TABLE_CSV
 
     def test_label_with_a_comma_stays_one_cell(self, tmp_path, capsys):
         ini = tmp_path / "pack.ini"

@@ -24,8 +24,9 @@ from fchybrid.report import (
     compare,
     emit,
 )
-from fchybrid.simulator import simulate
+from fchybrid.simulator import MODE_BATTERY, simulate
 from fchybrid.sizing import size_hybrid, SizingInputs
+from test_golden import lossy_hybrid_config
 
 TABLE_CSV = """\
 label,stack_mass_kg,fuel_mass_kg,energy_density_wh_per_kg,system_life_h,run_time_h,load_basis_w,feasible_at_peak
@@ -50,7 +51,7 @@ def flat(power=45.0, duration=100.0):
 
 class TestCompare:
     def test_reference_table_rows(self):
-        rows = compare(presets.comparison_sizings())
+        rows = compare(presets.comparison_configs())
         assert [r.label for r in rows] == [
             "NiMH battery", "Li-ion battery", "fuel cell", "fuel cell hybrid"]
         assert [r.stack_mass for r in rows][:2] == [None, None]
@@ -62,11 +63,31 @@ class TestCompare:
     def test_config_entries(self):
         rows = compare([presets.hybrid_config()])
         row = rows[0]
-        assert row.label == "hybrid"
+        assert row.label == "fuel cell hybrid"
         assert row.stack_mass == 0.15
         assert row.fuel_mass == 0.8
-        assert math.isclose(row.run_time, 88.27)
+        assert row.run_time == 88.0
         assert row.feasible_at_peak
+
+    def test_lossy_supply_rated_at_a_load_it_sustains(self):
+        # the converter passes 93 % of the stack's 45 W ceiling to the load
+        row = compare([lossy_hybrid_config()])[0]
+        assert math.isclose(row.load_basis, 45.0 * 0.93)
+        assert math.isclose(row.run_time, 88.0)
+
+    @pytest.mark.parametrize("peak", [250.0, 90.0])
+    def test_rows_reproduce_the_sizings(self, peak):
+        rows = compare(presets.comparison_configs(), peak_power=peak)
+        for row, sized in zip(rows, presets.comparison_sizings(), strict=True):
+            fuel = sized.mode != MODE_BATTERY
+            assert row.label == sized.label
+            assert row.stack_mass == (sized.stack_mass if fuel else None)
+            assert row.fuel_mass == (sized.fuel_mass if fuel else None)
+            assert row.energy_density == sized.energy_density
+            assert row.system_life == sized.system_life
+            assert row.run_time == sized.run_time
+            assert row.load_basis == sized.load_basis
+            assert row.feasible_at_peak == (sized.peak_capability >= peak)
 
     def test_battery_config_entry(self):
         row = compare([presets.nimh_config()], battery_load=16.0)[0]
@@ -80,28 +101,29 @@ class TestCompare:
         assert a == b
 
     def test_custom_peak_changes_verdict(self):
-        rows = compare(presets.comparison_sizings(), peak_power=90.0)
+        rows = compare(presets.comparison_configs(), peak_power=90.0)
         # the bare stack rates exactly 90 W, so it passes at that peak
         assert [r.feasible_at_peak for r in rows] == [True, True, True, True]
 
     def test_unknown_entry_rejected(self):
-        with pytest.raises(ValidationError):
-            compare(["not a config"])
+        for entry in ("not a config", presets.hybrid_sizing()):
+            with pytest.raises(ValidationError):
+                compare([entry])
 
 
 class TestEmitComparison:
     def test_reference_table_csv(self):
-        text = emit(compare(presets.comparison_sizings()), "csv")
+        text = emit(compare(presets.comparison_configs()), "csv")
         assert text == TABLE_CSV
         assert text.splitlines()[0] == COMPARISON_CSV_HEADER
 
     def test_emission_is_stable(self):
-        a = emit(compare(presets.comparison_sizings()), "csv")
-        b = emit(compare(presets.comparison_sizings()), "csv")
+        a = emit(compare(presets.comparison_configs()), "csv")
+        b = emit(compare(presets.comparison_configs()), "csv")
         assert a == b
 
     def test_json_round_trip(self):
-        rows = compare(presets.comparison_sizings())
+        rows = compare(presets.comparison_configs())
         payload = json.loads(emit(rows, "json"))
         assert len(payload) == 4
         assert payload[0]["stack_mass_kg"] is None
@@ -187,7 +209,7 @@ class TestEmitOthers:
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValidationError):
-            emit(compare(presets.comparison_sizings()), "yaml")
+            emit(compare(presets.comparison_configs()), "yaml")
 
     def test_handmade_row_with_none_masses(self):
         row = ComparisonRow(label="pack", stack_mass=None, fuel_mass=None,
@@ -222,7 +244,7 @@ class TestNonFiniteJson:
         assert sized.run_time == math.inf
         assert strict_json(emit(sized, "json"))["run_time_h"] is None
         assert strict_json(emit([sized], "json"))[0]["run_time_h"] is None
-        row = replace(compare([sized])[0], system_life=math.inf)
+        row = replace(compare([presets.hybrid_config()])[0], system_life=math.inf)
         assert strict_json(emit([row], "json"))[0]["system_life_h"] is None
         assert "run_time_h,inf" in emit(sized, "csv").splitlines()
 
@@ -235,7 +257,7 @@ class TestCsvTextCells:
 
     @pytest.mark.parametrize("label", LABELS)
     def test_comparison_row(self, label):
-        row = replace(compare(presets.comparison_sizings())[0], label=label)
+        row = replace(compare(presets.comparison_configs())[0], label=label)
         text = emit([row], "csv")
         header, cells = csv.reader(io.StringIO(text, newline=""))
         assert header == COMPARISON_CSV_HEADER.split(",")
@@ -249,7 +271,7 @@ class TestCsvTextCells:
         assert ["label", label] in rows
 
     def test_quotes_doubled_inside_quotes(self):
-        row = replace(compare(presets.comparison_sizings())[0], label='the "big" pack')
+        row = replace(compare(presets.comparison_configs())[0], label='the "big" pack')
         assert emit([row], "csv").splitlines()[1] == '"the ""big"" pack",,,40,3000,3,16,true'
         sized = replace(presets.nimh_sizing(), label='the "big" pack')
         assert emit(sized, "csv").splitlines()[1] == 'label,"the ""big"" pack"'
