@@ -162,7 +162,8 @@ def profile_stats(profile: PowerProfile, idle_threshold: float | None = None) ->
     """Time-weighted summary under hold interpolation.
 
     idle_threshold defaults to the profile minimum plus 1 W, treating the
-    lowest sustained level as the compute-only idle load.
+    lowest sustained level as the compute-only idle load. A given
+    threshold must be finite.
     """
     dt = np.diff(profile.times)
     held = profile.power[:-1]
@@ -171,6 +172,8 @@ def profile_stats(profile: PowerProfile, idle_threshold: float | None = None) ->
     average = energy_ws / duration
     if idle_threshold is None:
         idle_threshold = float(profile.power.min()) + 1.0
+    elif not math.isfinite(idle_threshold):
+        raise ValidationError("idle_threshold must be finite")
     idle = float(dt[held <= idle_threshold].sum()) / duration
     return ProfileStats(
         average_power=average,

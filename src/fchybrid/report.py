@@ -66,8 +66,8 @@ def _row_from_config(config: HybridConfig, peak_power: float,
             capability += config.battery.max_power_w
         label = _FUEL_LABELS[config.mode]
         initial_soc = config.battery.soc_min
-    if load <= 0:
-        raise ValidationError("comparison needs a positive load basis")
+    if not 0.0 < load < math.inf:
+        raise ValidationError("comparison load basis must be finite and > 0")
     estimate = run_time_constant_load(config, load, initial_soc=initial_soc)
     life = system_life(config, run_time=estimate.hours)
     return ComparisonRow(
@@ -89,8 +89,13 @@ def compare(entries, peak_power: float = 250.0,
     A fuel supply runs on its fuel alone (pack at its floor) at the most
     its stack sustains: effective_setpoint times the converter efficiency.
     A battery pack runs from full at battery_load. peak_power is the
-    demand spike every option is judged against.
+    demand spike every option is judged against. Both must be finite
+    and > 0.
     """
+    if not 0.0 < peak_power < math.inf:
+        raise ValidationError("peak_power must be finite and > 0")
+    if not 0.0 < battery_load < math.inf:
+        raise ValidationError("battery_load must be finite and > 0")
     rows = []
     for entry in entries:
         if not isinstance(entry, HybridConfig):

@@ -161,7 +161,9 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     non-negative, unmet_fraction in [0, 1]; anything else (NaN included)
     raises ValidationError before the first step. A run that passes
     max_hours (default 1e6 for looped runs, no limit otherwise) raises
-    RuntimeError.
+    RuntimeError. A looped profile whose held samples (all but the last,
+    which only closes the horizon) are all 0 W drains nothing, so no mode
+    can end it: that raises the same RuntimeError before the first step.
     """
     if dt is None:
         dt = default_dt(profile)
@@ -178,6 +180,9 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     elif not 0.0 < max_hours < math.inf:
         raise ValidationError("max_hours must be finite and > 0")
     limit_s = max_hours * 3600.0
+    if loop_profile and not profile.power[:-1].any():
+        raise RuntimeError(f"a looped 0 W profile never ends: it would pass the "
+                           f"max_hours safety horizon ({max_hours:g} h)")
 
     battery = config.battery
     tank = config.tank
@@ -360,8 +365,8 @@ def run_time_constant_load(config: HybridConfig, load: float,
     not modeled, so start the pack where the simulation does (default
     full).
     """
-    if load <= 0:
-        raise ValidationError("load must be > 0")
+    if not 0.0 < load < math.inf:
+        raise ValidationError("load must be finite and > 0")
     battery = config.battery
     bus = load / config.electronics.converter_efficiency
     if initial_soc is None:

@@ -239,10 +239,10 @@ def size_direct_fc(inputs: SizingInputs, *, stack_factor: float = 2.0,
 def size_battery_only(template: BatterySpec, mass_budget: float,
                       average_load: float, *, label: str = "") -> SizingResult:
     """The whole budget becomes one pack of the template's chemistry."""
-    if mass_budget <= 0:
-        raise ValidationError("mass_budget must be > 0")
-    if average_load <= 0:
-        raise ValidationError("average_load must be > 0")
+    if not 0.0 < mass_budget < math.inf:
+        raise ValidationError("mass_budget must be finite and > 0")
+    if not 0.0 < average_load < math.inf:
+        raise ValidationError("average_load must be finite and > 0")
     run_time = mass_budget * template.specific_energy / average_load
     return SizingResult(
         mode=MODE_BATTERY,

@@ -255,6 +255,44 @@ class TestExitCodes:
         assert captured.err.startswith("infeasible:")
         assert "max_hours" in captured.err
 
+    @pytest.mark.parametrize("make_config", [presets.hybrid_config,
+                                             presets.direct_fc_config,
+                                             presets.nimh_config])
+    def test_looped_zero_profile_exits_at_once(self, tmp_path, capsys, make_config):
+        # at the default dt of 1 s the 1e6 h horizon is 3.6e9 steps away
+        profile = flat_profile_file(tmp_path, power=0.0, duration=60.0)
+        config = tmp_path / "supply.ini"
+        config.write_text(supply_text(make_config()))
+        assert main(["simulate", "--profile", str(profile), "--config", str(config),
+                     "--loop"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("infeasible:")
+        assert "max_hours" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--table1", "--battery-load", "nan"],
+        ["compare", "--table1", "--battery-load", "-16"],
+        ["compare", "--table1", "--peak", "nan"],
+        ["compare", "--table1", "--peak", "-5"],
+        ["size", "--mode", "battery_only", "--load", "nan"],
+    ], ids=["battery-load-nan", "battery-load-negative", "peak-nan", "peak-negative",
+            "battery-only-load-nan"])
+    def test_load_or_peak_outside_finite_positive(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "finite and > 0" in captured.err
+
+    def test_non_finite_idle_threshold(self, tmp_path, capsys):
+        profile = flat_profile_file(tmp_path)
+        assert main(["profile", "stats", "--profile", str(profile),
+                     "--idle-threshold", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: idle_threshold must be finite")
+
     @pytest.mark.parametrize("argv", [
         ["profile", "synth", "--duration", "nan"],
         ["profile", "synth", "--mech-peak", "inf"],

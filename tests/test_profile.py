@@ -184,6 +184,12 @@ class TestProfileStats:
         assert profile_stats(p, idle_threshold=10.0).idle_fraction == 0.0
         assert profile_stats(p, idle_threshold=70.0).idle_fraction == 1.0
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_idle_threshold_rejected(self, threshold):
+        p = make([0.0, 600.0, 3600.0], [60.0, 40.0, 40.0])
+        with pytest.raises(ValidationError, match="idle_threshold must be finite"):
+            profile_stats(p, idle_threshold=threshold)
+
 
 class TestEmitLoad:
     def test_emit_format(self):

@@ -110,6 +110,16 @@ class TestCompare:
             with pytest.raises(ValidationError):
                 compare([entry])
 
+    @pytest.mark.parametrize("peak", [math.nan, math.inf, 0.0, -5.0])
+    def test_peak_outside_finite_positive_rejected(self, peak):
+        with pytest.raises(ValidationError, match="peak_power must be finite and > 0"):
+            compare(presets.comparison_configs(), peak_power=peak)
+
+    @pytest.mark.parametrize("load", [math.nan, math.inf, 0.0, -16.0])
+    def test_battery_load_outside_finite_positive_rejected(self, load):
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            compare([presets.nimh_config()], battery_load=load)
+
 
 class TestEmitComparison:
     def test_reference_table_csv(self):

@@ -202,6 +202,32 @@ class TestTerminations:
             simulate(cfg, flat(0.0, duration=60.0), dt=1.0,
                      loop_profile=True, max_hours=0.001)
 
+    @pytest.mark.parametrize("make_config", [
+        presets.hybrid_config, presets.direct_fc_config, presets.nimh_config],
+        ids=[MODE_HYBRID, MODE_DIRECT, MODE_BATTERY])
+    @pytest.mark.parametrize("profile", [
+        flat(0.0, duration=60.0),
+        steps([0.0, 20.0, 40.0, 60.0], [-0.0, 0.0, -0.0, 5.0])],  # the last sample is never held
+        ids=["zero", "signed-zeros"])
+    def test_looped_run_that_draws_nothing_raises_before_stepping(
+            self, monkeypatch, make_config, profile):
+        calls = []
+        dispatch_power = simulator.dispatch_power
+
+        def counting_dispatch(*args, **kwargs):
+            calls.append(args[0])
+            return dispatch_power(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "dispatch_power", counting_dispatch)
+        with pytest.raises(RuntimeError, match="max_hours"):
+            simulate(make_config(), profile, dt=1.0, loop_profile=True, max_hours=1.0)
+        assert calls == []
+
+    def test_zero_profile_run_once_ends_normally(self):
+        res = simulate(presets.hybrid_config(), flat(0.0, duration=60.0), dt=1.0)
+        assert res.termination == PROFILE_ENDED
+        assert res.steps == 60
+
 
 class TestSimulationInvariants:
     def test_determinism(self):
@@ -590,3 +616,8 @@ class TestRunTimeConstantLoad:
     def test_nonpositive_load_rejected(self):
         with pytest.raises(ValidationError):
             run_time_constant_load(presets.hybrid_config(), 0.0)
+
+    @pytest.mark.parametrize("load", [-1.0, math.nan, math.inf])
+    def test_load_outside_finite_positive_rejected(self, load):
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            run_time_constant_load(presets.hybrid_config(), load)

@@ -216,6 +216,12 @@ class TestSizeBatteryOnly:
         with pytest.raises(ValidationError):
             size_battery_only(presets.NIMH_TEMPLATE, 1.2, 0.0)
 
+    @pytest.mark.parametrize("budget, load", [
+        (1.2, math.nan), (1.2, math.inf), (math.nan, 16.0), (math.inf, 16.0)])
+    def test_non_finite_inputs_rejected(self, budget, load):
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            size_battery_only(presets.NIMH_TEMPLATE, budget, load)
+
 
 class TestInternalConsistency:
     def test_sizing_run_times_match_constant_load_estimates(self):
