@@ -98,6 +98,29 @@ def dispatch_power(demand: float, fc_command: float, trickle_headroom: float,
     return EnergyFlow(time, demand, fc_output, actual, -residual, 0.0, state.soc), state
 
 
+def ripple_of(low: float, high: float, total: float, count: int) -> float:
+    """Relative ripple (high - low) / mean of a window, mean = total / count.
+
+    The one body of the ripple law: ``measure_ripple`` and the running
+    statistics ``simulate`` folds a looped run into both end here. A mean
+    of exactly 0 (a stack that is off) gives 0.0; a negative mean raises
+    ValidationError.
+    """
+    mean = total / count
+    if mean < 0.0:
+        raise ValidationError("ripple needs a non-negative-mean steady window")
+    if mean == 0.0:
+        return 0.0
+    return (high - low) / mean
+
+
+def window_stats(window) -> tuple[float, float, float, int]:
+    """(min, max, sum, count) of a non-empty window, as ``ripple_of`` takes
+    them. An array("d") is not copied."""
+    arr = np.asarray(window, dtype=float)
+    return float(arr.min()), float(arr.max()), float(arr.sum()), arr.size
+
+
 def measure_ripple(series) -> float:
     """Relative ripple (max - min) / mean over the steady half of a series.
 
@@ -108,10 +131,4 @@ def measure_ripple(series) -> float:
     arr = np.asarray(series, dtype=float)
     if arr.size == 0:
         raise ValidationError("ripple needs a non-empty series")
-    steady = arr[arr.size // 2:]
-    mean = float(steady.mean())
-    if mean < 0.0:
-        raise ValidationError("ripple needs a non-negative-mean steady window")
-    if mean == 0.0:
-        return 0.0
-    return float(steady.max() - steady.min()) / mean
+    return ripple_of(*window_stats(arr[arr.size // 2:]))

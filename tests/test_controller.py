@@ -7,7 +7,9 @@ from fchybrid.controller import (
     ControllerParams,
     dispatch_power,
     measure_ripple,
+    ripple_of,
     suppression_filter,
+    window_stats,
 )
 from fchybrid.errors import ValidationError
 from fchybrid.powertrain import BatterySpec, BatteryState
@@ -125,6 +127,25 @@ class TestMeasureRipple:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValidationError):
             measure_ripple([45.0] * 10 + [-1.0] * 10)
+
+    def test_steady_half_through_the_one_formula(self):
+        series = np.random.default_rng(5).uniform(30.0, 60.0, 1001)
+        assert window_stats(series[500:]) == (series[500:].min(), series[500:].max(),
+                                              series[500:].sum(), 501)
+        assert measure_ripple(series) == ripple_of(*window_stats(series[500:]))
+
+
+class TestRippleOf:
+    def test_relative_span(self):
+        assert ripple_of(40.0, 50.0, 450.0, 10) == 10.0 / 45.0
+
+    def test_zero_mean_is_no_ripple(self):
+        assert ripple_of(0.0, 0.0, 0.0, 4) == 0.0
+        assert ripple_of(-0.0, 0.0, -0.0, 4) == 0.0
+
+    def test_negative_mean_rejected(self):
+        with pytest.raises(ValidationError):
+            ripple_of(-1.0, 45.0, -1.0, 2)
 
 
 class TestDispatch:
