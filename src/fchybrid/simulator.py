@@ -22,9 +22,11 @@ check, and wrapping the names observes every step; the benchmark's traced
 run records the calls that way and replays them. Speed comes from keeping
 those functions and the loop's own bookkeeping lean instead.
 
-Ripple goes through ``controller.measure_ripple``. The suppression filter
-alone is written out in the loop: calling ``controller.suppression_filter``
-there measured 5 % slower per step; the tests hold the two equal.
+Ripple goes through ``controller.measure_ripple``, or for a looped run
+past its second pass through the same ``controller.ripple_of``. The
+suppression filter alone is written out in the loop: calling
+``controller.suppression_filter`` there measured 5 % slower per step; the
+tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -32,11 +34,19 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .controller import ControllerParams, EnergyFlow, dispatch_power, measure_ripple
+from .controller import (
+    ControllerParams,
+    EnergyFlow,
+    dispatch_power,
+    measure_ripple,
+    ripple_of,
+    window_stats,
+)
 from .errors import ValidationError
 from .powertrain import (
     BatterySpec,
@@ -61,6 +71,10 @@ BATTERY_DEPLETED = "battery_depleted"
 PROFILE_ENDED = "profile_ended"
 UNMET_DEMAND = "unmet_demand"
 TERMINATIONS = (FUEL_EXHAUSTED, BATTERY_DEPLETED, PROFILE_ENDED, UNMET_DEMAND)
+
+# fewest stored steps of stack output a looped run folds into its running
+# ripple statistics at once, so a short profile pays no numpy call per pass
+FOLD_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -157,6 +171,23 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     Flows are recorded every flow_stride-th step when record_flows is
     set. Decimation keeps logs small without touching the integration.
 
+    ripple is (max - min) / mean of the stack output over a steady window,
+    through ``controller.ripple_of``. Let L be the number of steps through
+    the last one with fc_output > 0 (none: ripple 0.0), and P1 the number
+    of steps before the profile first wraps (the whole run if it never
+    does). The window is steps [min(L // 2, P1), L): the steady half of
+    the fuelled steps, never starting after the first pass. The stack-off
+    tail of a run that ran dry stays out of it, and a looped run longer
+    than two passes is measured over every pass after the first. Memory
+    is set by the profile, not the run's length: stack-off steps are
+    counted, and stored only when a fuelled step follows them; once the
+    window's start is fixed at P1, each wrap folds the stored output, in
+    blocks of at least FOLD_BLOCK steps, into a running (min, max, sum,
+    count). When L <= 2 * P1, as in every run that is not looped past its
+    second pass, ripple is exactly ``measure_ripple`` of the stack output
+    cut at L; beyond, a folded sum may differ from one numpy sum of the
+    window in the last bits.
+
     dt and max_hours must be finite and positive, grace_s finite and
     non-negative, unmet_fraction in [0, 1]; anything else (NaN included)
     raises ValidationError before the first step. A run that passes
@@ -223,7 +254,11 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     unmet_bus = 0.0
     curtailed = 0.0
     fc_on_h = 0.0
-    fc_series = array("d")
+    fc_series = array("d")  # stack output of steps stored_from.., ending fuelled
+    stored_from = 0
+    off = 0  # stack-off steps since the last stored one
+    first_pass = -1  # steps before the profile first wrapped
+    folded = None  # (min, max, sum, count) of the window's folded steps
     flows: list[EnergyFlow] = []
     next_flow = 0 if record_flows else -1  # step whose flow is recorded next
     filt: float | None = None
@@ -239,10 +274,21 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         t = n * dt
         if loop_profile:
             local = t - wraps * duration_s
-            while local >= end_s:
-                wraps += 1
-                local -= duration_s
+            if local >= end_s:
+                while local >= end_s:
+                    wraps += 1
+                    local -= duration_s
                 idx = 0
+                if first_pass < 0:
+                    first_pass = n
+                elif stored_from + len(fc_series) > 2 * first_pass:
+                    # the window starts at first_pass for good: fold what
+                    # is stored from there on once it makes a block
+                    skip = max(first_pass - stored_from, 0)
+                    if len(fc_series) - skip >= FOLD_BLOCK:
+                        folded = _fold(folded, fc_series, skip)
+                        stored_from += len(fc_series)
+                        fc_series = array("d")
         elif t >= end_s:
             termination = PROFILE_ENDED
             break
@@ -290,7 +336,12 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
             if fuel_wh < 0.0:
                 fuel_wh = 0.0
             fc_on_h += dt_h
-        fc_series.append(fc_out)
+            if off:
+                fc_series.extend(repeat(0.0, off))
+                off = 0
+            fc_series.append(fc_out)
+        else:
+            off += 1
         unmet = flow.unmet
         delivered_bus += (bus_demand - unmet) * dt_h
         unmet_bus += unmet * dt_h
@@ -323,7 +374,15 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     if end_time_s is None:
         end_time_s = n * dt if termination != PROFILE_ENDED else min(n * dt, duration_s)
 
-    ripple = measure_ripple(fc_series) if fc_series else 0.0
+    fuelled = stored_from + len(fc_series)  # L
+    if first_pass < 0:
+        first_pass = n
+    if fuelled == 0:
+        ripple = 0.0
+    elif fuelled <= 2 * first_pass:  # nothing folded, window [L // 2, L)
+        ripple = measure_ripple(fc_series)
+    else:
+        ripple = ripple_of(*_fold(folded, fc_series, max(first_pass - stored_from, 0)))
 
     fc_damage = 0.0
     if has_fuel_path and fc_on_h > 0.0:
@@ -353,6 +412,19 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         dt=dt,
         flows=flows,
     )
+
+
+def _fold(stats, series, skip: int):
+    """Running (min, max, sum, count) stats merged with those of
+    series[skip:]; stats None stands for no step yet."""
+    window = np.asarray(series)[skip:]
+    if window.size == 0:
+        return stats
+    block = window_stats(window)
+    if stats is None:
+        return block
+    return (min(stats[0], block[0]), max(stats[1], block[1]),
+            stats[2] + block[2], stats[3] + block[3])
 
 
 def run_time_constant_load(config: HybridConfig, load: float,

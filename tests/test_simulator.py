@@ -1,10 +1,18 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fchybrid import controller, presets, simulator
-from fchybrid.controller import ControllerParams, measure_ripple, suppression_filter
+from fchybrid.controller import (
+    ControllerParams,
+    measure_ripple,
+    ripple_of,
+    suppression_filter,
+    window_stats,
+)
 from fchybrid.errors import ValidationError
 from fchybrid.powertrain import (
     STACK_SPECIFIC_POWER,
@@ -576,6 +584,67 @@ class TestRippleContract:
         series = [f.fc_output for f in res.flows]
         assert set(series[res.steps // 2:]) == {0.0}
         assert res.ripple == measure_ripple(series) == 0.0
+
+    @staticmethod
+    def fuelled(series):
+        return max(i + 1 for i, p in enumerate(series) if p > 0.0)
+
+    def test_stack_off_tail_of_a_looped_run_stays_out(self):
+        # the tank runs dry in the second pass and the battery carries on
+        # for hundreds of steps with the stack off
+        profile = gait(20.0)
+        res = simulate(tiny_hybrid(fuel_wh=0.4, capacity_wh=0.5), profile, dt=0.05,
+                       loop_profile=True, record_flows=True, flow_stride=1)
+        assert res.termination == FUEL_EXHAUSTED
+        series = [f.fc_output for f in res.flows]
+        last = self.fuelled(series)
+        assert res.steps - last > 100
+        assert last <= 2 * 400  # 400 steps a pass: the window is the steady half
+        assert res.ripple == measure_ripple(series[:last]) != measure_ripple(series)
+
+    def test_long_looped_run_folds_every_pass_after_the_first(self, monkeypatch):
+        folds = []
+        fold = simulator._fold
+
+        def counting_fold(stats, series, skip):
+            folds.append(len(series) - skip)
+            return fold(stats, series, skip)
+
+        monkeypatch.setattr(simulator, "_fold", counting_fold)
+        res = simulate(tiny_hybrid(fuel_wh=25.0, capacity_wh=0.2), gait(2.0), dt=0.05,
+                       loop_profile=True, record_flows=True, flow_stride=1)
+        series = np.array([f.fc_output for f in res.flows])
+        last = self.fuelled(series)
+        assert last > 2 * 40 + 2 * simulator.FOLD_BLOCK
+        assert len(folds) >= 3  # two wraps, and the stored rest at the end
+        assert min(folds[:-1]) >= simulator.FOLD_BLOCK
+        assert sum(folds) == last - 40  # every pass after the 40-step first
+        assert math.isclose(res.ripple, ripple_of(*window_stats(series[40:last])),
+                            rel_tol=1e-12)
+
+
+class TestLoopedRunMemory:
+    """A looped run stores its stack output only until it folds it, so its
+    memory is set by the profile, not by the run's length."""
+
+    def test_peak_does_not_grow_with_the_run(self):
+        # 200 steps a pass; runs of about 4k and 70k steps
+        profile = synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=2.0))
+        base = presets.hybrid_config()
+        steps, peaks = [], []
+        for fuel_wh in (0.5, 8.75):
+            tank = replace(base.tank, fuel_mass=fuel_wh / base.tank.specific_energy_electric)
+            tracemalloc.start()
+            try:
+                res = simulate(replace(base, tank=tank), profile, dt=0.01,
+                               loop_profile=True, initial_soc=base.battery.soc_min)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.termination == FUEL_EXHAUSTED
+            steps.append(res.steps)
+        assert steps[1] - steps[0] >= 64 * 1024
+        assert abs(peaks[1] - peaks[0]) < 8 * simulator.FOLD_BLOCK  # one block of doubles
 
 
 class TestRunTimeConstantLoad:
