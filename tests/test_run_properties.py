@@ -1,0 +1,198 @@
+"""Invariants of generated runs: energy closes, SOC stays in its window,
+each counted step is one dispatch, and the reported ripple is the steady
+window formula of ``simulate``'s docstring over the stride-1 stack output.
+
+Supplies are tiny (packs and tanks of a few Wh at most), profiles are a few
+seconds long with 0 W stretches and -0.0 samples, dt reaches the profile's
+length, and runs go once or looped, some long enough that ``simulate``
+folds its stack output into running statistics."""
+
+import math
+
+import numpy as np
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+from fchybrid import simulator
+from fchybrid.controller import ControllerParams, ripple_of, window_stats
+from fchybrid.powertrain import (
+    BatterySpec,
+    ElectronicsSpec,
+    FuelCellStackSpec,
+    FuelTankSpec,
+    fuel_energy,
+)
+from fchybrid.profile import PowerProfile
+from fchybrid.simulator import (
+    FOLD_BLOCK,
+    MODE_BATTERY,
+    MODE_DIRECT,
+    MODE_HYBRID,
+    MODES,
+    HybridConfig,
+    simulate,
+)
+
+RUN = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+# a looped run still going after this many steps passes its max_hours
+MAX_STEPS = 50_000
+FUEL_WH_PER_KG = 4950.0
+
+
+def supply(mode, fuel_wh, capacity_wh, power_w, rated, setpoint, tau=1.0,
+           headroom=1.0, eta=1.0, battery_eta=1.0, soc_min=0.1, soc_max=1.0):
+    fuel = mode != MODE_BATTERY
+    pack = mode != MODE_DIRECT
+    return HybridConfig(
+        stack=FuelCellStackSpec(rated_power=rated if fuel else 0.0,
+                                mass=rated / 150.0 if fuel else 0.0),
+        battery=BatterySpec(chemistry="test", mass=1.0 if pack else 0.0,
+                            specific_energy=capacity_wh, specific_power=power_w,
+                            charge_efficiency=battery_eta,
+                            discharge_efficiency=battery_eta,
+                            soc_min=soc_min, soc_max=soc_max),
+        tank=FuelTankSpec(fuel_mass=fuel_wh / FUEL_WH_PER_KG if fuel else 0.0,
+                          specific_energy_electric=FUEL_WH_PER_KG),
+        electronics=ElectronicsSpec(converter_efficiency=eta),
+        controller=ControllerParams(fc_setpoint=setpoint, filter_time_constant=tau,
+                                    trickle_headroom=headroom),
+        mode=mode,
+    )
+
+
+def profile_of(times, power):
+    return PowerProfile(times=np.array(times, dtype=float),
+                        power=np.array(power, dtype=float), name="drawn")
+
+
+@st.composite
+def runs(draw):
+    """(config, profile, dt, looped, initial_soc)"""
+    mode = draw(st.sampled_from(MODES))
+    n = draw(st.integers(min_value=2, max_value=6))
+    gaps = draw(st.lists(st.floats(min_value=0.05, max_value=3.0),
+                         min_size=n - 1, max_size=n - 1))
+    level = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(min_value=0.0, max_value=120.0))
+    profile = profile_of(np.concatenate([[0.0], np.cumsum(gaps)]),
+                         draw(st.lists(level, min_size=n, max_size=n)))
+    duration = profile.duration
+    dt = draw(st.one_of(st.sampled_from([0.01, 0.05]),
+                        st.floats(min_value=0.01, max_value=duration)))
+    kind = draw(st.sampled_from(["once", "looped", "long"]))
+    looped = kind != "once"
+    # stores sized in steps of the profile's average draw: up to a few
+    # hundred, or for long runs enough to pass two passes and one fold
+    # block, with a stack that carries the peak
+    average = max(float(np.dot(profile.power[:-1], np.diff(profile.times))) / duration, 1.0)
+    passes = 2 * duration / dt + FOLD_BLOCK
+    if kind == "long":
+        steps = draw(st.floats(min_value=1.5 * passes, max_value=2.0 * passes))
+        share = st.floats(min_value=1.0, max_value=1.5)
+        least = float(profile.power.max())
+    else:
+        steps = draw(st.floats(min_value=1.0, max_value=500.0))
+        share = st.floats(min_value=0.0, max_value=1.0)
+        least = 0.0
+    store_wh = average * dt / 3600.0 * steps
+    stack_w = st.floats(min_value=least, max_value=max(least, 150.0))
+    soc_min = draw(st.floats(min_value=0.0, max_value=0.4))
+    soc_max = draw(st.floats(min_value=soc_min + 0.05, max_value=1.0))
+    config = supply(
+        mode,
+        fuel_wh=store_wh * draw(share),
+        capacity_wh=store_wh * draw(share),
+        power_w=draw(st.floats(min_value=1.0, max_value=200.0)),
+        rated=draw(stack_w),
+        setpoint=draw(stack_w),
+        tau=draw(st.floats(min_value=0.05, max_value=5.0)),
+        headroom=draw(st.floats(min_value=0.01, max_value=1.0)),
+        eta=draw(st.floats(min_value=0.8, max_value=1.0)),
+        battery_eta=draw(st.floats(min_value=0.8, max_value=1.0)),
+        soc_min=soc_min, soc_max=soc_max)
+    initial_soc = draw(st.none() | st.floats(min_value=soc_min, max_value=soc_max))
+    return config, profile, dt, looped, initial_soc
+
+
+def window_ripple(flows, duration):
+    """(ripple, L, P1) of the steady window [min(L // 2, P1), L) over the
+    stride-1 stack output of a run."""
+    series = np.array([f.fc_output for f in flows])
+    fuelled = np.flatnonzero(series > 0.0)
+    wrapped = np.flatnonzero(np.array([f.time for f in flows]) >= duration - 1e-9)
+    first = int(wrapped[0]) if wrapped.size else len(flows)
+    if fuelled.size == 0:
+        return 0.0, 0, first
+    last = int(fuelled[-1]) + 1
+    return ripple_of(*window_stats(series[:last][min(last // 2, first):])), last, first
+
+
+GAIT = profile_of([0.0, 0.3, 0.5, 0.8, 1.0], [52.0, 31.0, -0.0, 44.0, 44.0])
+
+
+@RUN
+@given(runs())
+# looped hybrid and direct runs that fold, the hybrid ending on its stack-off tail
+@example((supply(MODE_HYBRID, 2.2, 0.2, 100.0, 90.0, 45.0), GAIT, 0.01, True, None))
+@example((supply(MODE_DIRECT, 2.2, 0.0, 0.0, 90.0, 45.0), GAIT, 0.01, True, None))
+# a looped pack with no stack, and one step per pass
+@example((supply(MODE_BATTERY, 0.0, 2.5, 100.0, 0.0, 0.0), GAIT, 0.01, True, None))
+@example((supply(MODE_HYBRID, 0.5, 0.2, 100.0, 90.0, 45.0), GAIT, 1.0, True, None))
+# 0 W everywhere: no step when looped, a stack that never starts when not
+@example((supply(MODE_HYBRID, 0.5, 0.2, 100.0, 90.0, 45.0),
+          profile_of([0.0, 1.0, 2.0], [0.0, -0.0, 30.0]), 0.1, True, None))
+@example((supply(MODE_DIRECT, 0.5, 0.0, 0.0, 90.0, 45.0),
+          profile_of([0.0, 1.0, 2.0], [0.0, -0.0, 30.0]), 0.1, False, None))
+# a stack of 9e-57 W on a 1 W load: its output vanishes in demand - unmet
+@example((supply(MODE_DIRECT, 7.7e-148, 0.0, 1.0, 9.3e-57, 0.0, soc_min=0.0),
+          profile_of([0.0, 1.0], [1.0, 0.0]), 0.01, False, None))
+# 1.6e-198 W drawn from a 2.8e-6 Wh tank: each step's fuel vanishes in it
+@example((supply(MODE_HYBRID, 2.78e-6, 0.0, 1.0, 1.0, 1.0, soc_min=0.0),
+          profile_of([0.0, 1.0], [1.6e-198, 0.0]), 0.01, False, None))
+def test_run_invariants(run):
+    config, profile, dt, looped, initial_soc = run
+    calls = []
+    dispatch_power = simulator.dispatch_power
+
+    def counting_dispatch(*args):
+        calls.append(None)
+        return dispatch_power(*args)
+
+    simulator.dispatch_power = counting_dispatch
+    try:
+        res = simulate(config, profile, dt=dt, loop_profile=looped,
+                       initial_soc=initial_soc, record_flows=True, flow_stride=1,
+                       max_hours=MAX_STEPS * dt / 3600.0 if looped else None)
+    except RuntimeError as exc:  # a looped run that nothing ends
+        event("passes max_hours" if calls else "raises before the first step")
+        assert looped and "max_hours" in str(exc)
+        assert calls == [] or len(calls) >= MAX_STEPS
+        return
+    finally:
+        simulator.dispatch_power = dispatch_power
+
+    assert res.steps == len(calls) == len(res.flows)
+
+    # bus-side closure, relative to the largest energy the run accounts
+    # for, stores included: a flow below the last bit of the demand or of
+    # the tank is lost to that sum, not to the run
+    eta = config.electronics.converter_efficiency
+    fuel_wh = res.fuel_consumed * FUEL_WH_PER_KG
+    sources = fuel_wh + res.battery_discharge - res.battery_charge
+    sinks = res.energy_delivered / eta + res.curtailed_energy
+    demanded = (res.energy_delivered + res.unmet_energy) / eta
+    scale = max(fuel_energy(config.tank), config.battery.capacity_wh,
+                res.battery_discharge, res.battery_charge, sinks, demanded)
+    assert abs(sources - sinks) <= 1e-9 * scale
+
+    battery = config.battery
+    assert battery.soc_min - 1e-12 <= res.soc_low <= res.soc_high <= battery.soc_max + 1e-12
+    assert res.soc_low <= res.soc_final <= res.soc_high
+
+    ripple, last, first = window_ripple(res.flows, profile.duration)
+    folds = last > 2 * first and last - first >= FOLD_BLOCK
+    event(f"{res.termination}, {'looped' if looped else 'once'}{', folds' if folds else ''}")
+    if folds:  # some output may be folded
+        assert math.isclose(res.ripple, ripple, rel_tol=1e-12)
+    else:
+        assert res.ripple == ripple
