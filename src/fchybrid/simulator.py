@@ -22,11 +22,10 @@ check, and wrapping the names observes every step; the benchmark's traced
 run records the calls that way and replays them. Speed comes from keeping
 those functions and the loop's own bookkeeping lean instead.
 
-Ripple goes through ``controller.measure_ripple``, or for a looped run
-past its second pass through the same ``controller.ripple_of``. The
-suppression filter alone is written out in the loop: calling
-``controller.suppression_filter`` there measured 5 % slower per step; the
-tests hold the two equal.
+Ripple goes through ``controller.ripple_of``, the body of
+``controller.measure_ripple`` too. The suppression filter alone is
+written out in the loop: calling ``controller.suppression_filter`` there
+measured 5 % slower per step; the tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .controller import (
     ControllerParams,
     EnergyFlow,
     dispatch_power,
-    measure_ripple,
     ripple_of,
     window_stats,
 )
@@ -185,8 +183,9 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     blocks of at least FOLD_BLOCK steps, into a running (min, max, sum,
     count). When L <= 2 * P1, as in every run that is not looped past its
     second pass, ripple is exactly ``measure_ripple`` of the stack output
-    cut at L; beyond, a folded sum may differ from one numpy sum of the
-    window in the last bits.
+    cut at L, and nothing is ever folded; once something is, the sum of
+    block sums may differ from one numpy sum of the window in the last
+    bits.
 
     dt and max_hours must be finite and positive, grace_s finite and
     non-negative, unmet_fraction in [0, 1]; anything else (NaN included)
@@ -258,7 +257,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     stored_from = 0
     off = 0  # stack-off steps since the last stored one
     first_pass = -1  # steps before the profile first wrapped
-    folded = None  # (min, max, sum, count) of the window's folded steps
+    folded = (math.inf, -math.inf, 0.0, 0)  # (min, max, sum, count) folded so far
     flows: list[EnergyFlow] = []
     next_flow = 0 if record_flows else -1  # step whose flow is recorded next
     filt: float | None = None
@@ -379,10 +378,9 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         first_pass = n
     if fuelled == 0:
         ripple = 0.0
-    elif fuelled <= 2 * first_pass:  # nothing folded, window [L // 2, L)
-        ripple = measure_ripple(fc_series)
     else:
-        ripple = ripple_of(*_fold(folded, fc_series, max(first_pass - stored_from, 0)))
+        start = min(fuelled // 2, first_pass)
+        ripple = ripple_of(*_fold(folded, fc_series, max(start - stored_from, 0)))
 
     fc_damage = 0.0
     if has_fuel_path and fc_on_h > 0.0:
@@ -416,15 +414,12 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
 
 def _fold(stats, series, skip: int):
     """Running (min, max, sum, count) stats merged with those of
-    series[skip:]; stats None stands for no step yet."""
+    series[skip:]."""
     window = np.asarray(series)[skip:]
     if window.size == 0:
         return stats
-    block = window_stats(window)
-    if stats is None:
-        return block
-    return (min(stats[0], block[0]), max(stats[1], block[1]),
-            stats[2] + block[2], stats[3] + block[3])
+    low, high, total, count = window_stats(window)
+    return min(stats[0], low), max(stats[1], high), stats[2] + total, stats[3] + count
 
 
 def run_time_constant_load(config: HybridConfig, load: float,
