@@ -179,9 +179,9 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     than two passes is measured over every pass after the first. Memory
     is set by the profile, not the run's length: stack-off steps are
     counted, and stored only when a fuelled step follows them; once the
-    window's start is fixed at P1, each wrap folds the stored output, in
-    blocks of at least FOLD_BLOCK steps, into a running (min, max, sum,
-    count). When L <= 2 * P1, as in every run that is not looped past its
+    window's start is fixed at P1, the steps before it are dropped and
+    each wrap folds the stored output, in blocks of at least FOLD_BLOCK
+    steps, into a running (min, max, sum, count). When L <= 2 * P1, as in every run that is not looped past its
     second pass, ripple is exactly ``measure_ripple`` of the stack output
     cut at L, and nothing is ever folded; once something is, the sum of
     block sums may differ from one numpy sum of the window in the last
@@ -281,11 +281,13 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
                 if first_pass < 0:
                     first_pass = n
                 elif stored_from + len(fc_series) > 2 * first_pass:
-                    # the window starts at first_pass for good: fold what
-                    # is stored from there on once it makes a block
-                    skip = max(first_pass - stored_from, 0)
-                    if len(fc_series) - skip >= FOLD_BLOCK:
-                        folded = _fold(folded, fc_series, skip)
+                    # the window starts at first_pass for good: drop the
+                    # steps before it, and fold the rest once it makes a block
+                    if stored_from < first_pass:
+                        del fc_series[:first_pass - stored_from]
+                        stored_from = first_pass
+                    if len(fc_series) >= FOLD_BLOCK:
+                        folded = _fold(folded, fc_series, 0)
                         stored_from += len(fc_series)
                         fc_series = array("d")
         elif t >= end_s:
