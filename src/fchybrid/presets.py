@@ -57,21 +57,19 @@ NANO_TEMPLATE = default_battery_template(CONSTANTS)
 
 
 def nimh_sizing() -> SizingResult:
-    return size_battery_only(NIMH_TEMPLATE, MASS_BUDGET_KG,
-                             PACK_COMPARISON_LOAD_W, label="NiMH battery")
+    return size_battery_only(NIMH_TEMPLATE, MASS_BUDGET_KG, PACK_COMPARISON_LOAD_W)
 
 
 def liion_sizing() -> SizingResult:
-    return size_battery_only(LIION_TEMPLATE, MASS_BUDGET_KG,
-                             PACK_COMPARISON_LOAD_W, label="Li-ion battery")
+    return size_battery_only(LIION_TEMPLATE, MASS_BUDGET_KG, PACK_COMPARISON_LOAD_W)
 
 
 def direct_fc_sizing() -> SizingResult:
-    return size_direct_fc(SIZING_INPUTS, label="fuel cell")
+    return size_direct_fc(SIZING_INPUTS)
 
 
 def hybrid_sizing() -> SizingResult:
-    return size_hybrid(SIZING_INPUTS, label="fuel cell hybrid")
+    return size_hybrid(SIZING_INPUTS)
 
 
 def comparison_sizings() -> list[SizingResult]:

@@ -24,12 +24,10 @@ from .profile import ProfileStats
 from .simulator import (
     HybridConfig,
     MODE_BATTERY,
-    MODE_DIRECT,
-    MODE_HYBRID,
     SimulationResult,
     run_time_constant_load,
 )
-from .sizing import SizingResult, system_life
+from .sizing import SizingResult, supply_label, system_life
 
 
 @dataclass(slots=True)
@@ -46,9 +44,6 @@ class ComparisonRow:
     feasible_at_peak: bool
 
 
-_FUEL_LABELS = {MODE_DIRECT: "fuel cell", MODE_HYBRID: "fuel cell hybrid"}
-
-
 def _row_from_config(config: HybridConfig, peak_power: float,
                      battery_load: float) -> ComparisonRow:
     battery_mode = config.mode == MODE_BATTERY
@@ -56,7 +51,6 @@ def _row_from_config(config: HybridConfig, peak_power: float,
         load = battery_load
         density = config.battery.specific_energy
         capability = config.battery.max_power_w
-        label = f"{config.battery.chemistry} battery"
         initial_soc = None
     else:
         load = config.effective_setpoint * config.electronics.converter_efficiency
@@ -64,14 +58,13 @@ def _row_from_config(config: HybridConfig, peak_power: float,
         capability = config.stack.rated_power
         if config.battery.mass > 0:
             capability += config.battery.max_power_w
-        label = _FUEL_LABELS[config.mode]
         initial_soc = config.battery.soc_min
     if not 0.0 < load < math.inf:
         raise ValidationError("comparison load basis must be finite and > 0")
     estimate = run_time_constant_load(config, load, initial_soc=initial_soc)
     life = system_life(config, run_time=estimate.hours)
     return ComparisonRow(
-        label=label,
+        label=supply_label(config.mode, config.battery.chemistry),
         stack_mass=None if battery_mode else config.stack.mass,
         fuel_mass=None if battery_mode else config.tank.fuel_mass,
         energy_density=density,

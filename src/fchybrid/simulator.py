@@ -70,6 +70,11 @@ PROFILE_ENDED = "profile_ended"
 UNMET_DEMAND = "unmet_demand"
 TERMINATIONS = (FUEL_EXHAUSTED, BATTERY_DEPLETED, PROFILE_ENDED, UNMET_DEMAND)
 
+# a run ends unmet_demand once the shortfall has stayed above UNMET_FRACTION
+# of demand for GRACE_S seconds
+GRACE_S = 5.0
+UNMET_FRACTION = 0.01
+
 # fewest stored steps of stack output a looped run folds into its running
 # ripple statistics at once, so a short profile pays no numpy call per pass
 FOLD_BLOCK = 2**14
@@ -153,7 +158,6 @@ def default_dt(profile: PowerProfile) -> float:
 def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = None,
              loop_profile: bool = False, *, initial_soc: float | None = None,
              record_flows: bool = False, flow_stride: int = 100,
-             grace_s: float = 5.0, unmet_fraction: float = 0.01,
              max_hours: float | None = None) -> SimulationResult:
     """Step the configuration through the profile until it ends or dies.
 
@@ -163,8 +167,8 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
       - profile_ended: horizon reached (non-looped runs)
       - fuel_exhausted: tank below one step's need, battery at its floor
       - battery_depleted: no fuel path and the battery is at its floor
-      - unmet_demand: shortfall above unmet_fraction of demand lasted
-        grace_s seconds; run_time reports the start of that stretch
+      - unmet_demand: shortfall above UNMET_FRACTION (1 %) of demand
+        lasted GRACE_S (5 s); run_time reports the start of that stretch
 
     Flows are recorded every flow_stride-th step when record_flows is
     set. Decimation keeps logs small without touching the integration.
@@ -187,9 +191,8 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     block sums may differ from one numpy sum of the window in the last
     bits.
 
-    dt and max_hours must be finite and positive, grace_s finite and
-    non-negative, unmet_fraction in [0, 1]; anything else (NaN included)
-    raises ValidationError before the first step. A run that passes
+    dt and max_hours must be finite and positive; anything else (NaN
+    included) raises ValidationError before the first step. A run that passes
     max_hours (default 1e6 for looped runs, no limit otherwise) raises
     RuntimeError. A looped profile whose held samples (all but the last,
     which only closes the horizon) are all 0 W drains nothing, so no mode
@@ -201,10 +204,6 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         raise ValidationError("dt must be finite and > 0")
     if flow_stride < 1:
         raise ValidationError("flow_stride must be >= 1")
-    if not 0.0 <= grace_s < math.inf:
-        raise ValidationError("grace_s must be finite and >= 0")
-    if not 0.0 <= unmet_fraction <= 1.0:
-        raise ValidationError("unmet_fraction must be in [0, 1]")
     if max_hours is None:
         max_hours = 1e6 if loop_profile else math.inf
     elif not 0.0 < max_hours < math.inf:
@@ -234,6 +233,8 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     headroom = config.controller.trickle_headroom
     tau = config.controller.filter_time_constant
     alpha = dt / (tau + dt)
+    grace_s = GRACE_S
+    unmet_fraction = UNMET_FRACTION
 
     state = BatteryState.fresh(battery, initial_soc)
     soc_initial = state.soc

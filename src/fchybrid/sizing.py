@@ -5,8 +5,8 @@ and electronics:
 
   - hybrid: stack for the steady draw, battery for the peak, the rest of
     the budget is fuel
-  - direct fuel cell: an oversized stack (default twice the steady-power
-    stack) with no battery or converter electronics, the rest is fuel
+  - direct fuel cell: an oversized stack (twice the steady-power stack)
+    with no battery or converter electronics, the rest is fuel
   - battery only: the whole budget is one pack
 
 Run-times are fuel-basis horizons (fuel energy over the steady draw, or
@@ -18,13 +18,13 @@ battery packs; a hybrid takes the minimum of the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError, require_finite
-from .powertrain import BatterySpec, DegradationParams, FuelCellStackSpec, \
-    FuelTankSpec, ElectronicsSpec, fc_life
+from .powertrain import BatterySpec, FuelCellStackSpec, FuelTankSpec, \
+    ElectronicsSpec, fc_life
 from .profile import PowerProfile, profile_stats
 from .simulator import (
     HybridConfig,
@@ -38,6 +38,10 @@ from .controller import ControllerParams
 
 
 _CELL_VOLTAGE = 0.8  # V, a hybrid stack's operating point
+_STACK_FACTOR = 2.0  # a direct stack over the steady-power stack
+_STRESS_VOLTAGE = 0.95  # V, the effective stress of an unbuffered stack
+_TOLERANCE = 0.1  # W, the setpoint search's first step
+_GRID_STEP = 0.5  # W, its fallback sweep
 
 
 def _to_gram(mass_kg: float) -> float:
@@ -132,6 +136,14 @@ def default_battery_template(constants: SizingConstants = SizingConstants()) -> 
     )
 
 
+def supply_label(mode: str, chemistry: str = "") -> str:
+    """Table 1's name for a supply: 'fuel cell', 'fuel cell hybrid' or
+    '<chemistry> battery'."""
+    if mode == MODE_BATTERY:
+        return f"{chemistry} battery"
+    return "fuel cell hybrid" if mode == MODE_HYBRID else "fuel cell"
+
+
 def _reservoir_need_wh(profile: PowerProfile, steady: float) -> float:
     """Worst sustained energy the battery must cover when demand runs
     above the steady supply, Wh."""
@@ -145,10 +157,8 @@ def _reservoir_need_wh(profile: PowerProfile, steady: float) -> float:
     return worst
 
 
-def size_hybrid(inputs: SizingInputs, *, cell_voltage: float = _CELL_VOLTAGE,
-                degradation: DegradationParams = DegradationParams(),
-                profile: PowerProfile | None = None,
-                label: str = "") -> SizingResult:
+def size_hybrid(inputs: SizingInputs, *,
+                profile: PowerProfile | None = None) -> SizingResult:
     """Allocate stack to the steady draw, battery to the peak, fuel last."""
     c = inputs.constants
     stack_mass = _to_gram(inputs.steady_power / c.stack_specific_power)
@@ -180,31 +190,26 @@ def size_hybrid(inputs: SizingInputs, *, cell_voltage: float = _CELL_VOLTAGE,
         fuel_mass=fuel_mass,
         electronics_mass=c.electronics_mass,
         run_time=run_time,
-        system_life=fc_life(cell_voltage, 0.0, degradation),
+        system_life=fc_life(_CELL_VOLTAGE),
         energy_density=c.fuel_specific_energy,
         system_energy_density=(fuel_wh + battery_wh) / inputs.mass_budget,
         load_basis=inputs.steady_power,
         peak_capability=inputs.steady_power + battery_mass * c.battery_specific_power,
         feasible=feasible,
-        label=label or "fuel cell hybrid",
+        label=supply_label(MODE_HYBRID),
         warnings=warnings,
     )
 
 
-def size_direct_fc(inputs: SizingInputs, *, stack_factor: float = 2.0,
-                   stress_voltage: float = 0.95,
-                   degradation: DegradationParams = DegradationParams(),
-                   label: str = "") -> SizingResult:
+def size_direct_fc(inputs: SizingInputs) -> SizingResult:
     """Stack-plus-tank supply with no battery buffer.
 
-    The stack is oversized by stack_factor over the steady-power stack to
-    ride load swings, and without the suppression stage it sees an
-    effective stress voltage (default 0.95 V) that sets its life.
+    The stack is twice the steady-power stack to ride load swings, and
+    without the suppression stage it sees an effective stress voltage of
+    0.95 V that sets its life.
     """
-    if stack_factor <= 0:
-        raise ValidationError("stack_factor must be > 0")
     c = inputs.constants
-    stack_mass = _to_gram(stack_factor * inputs.steady_power / c.stack_specific_power)
+    stack_mass = _to_gram(_STACK_FACTOR * inputs.steady_power / c.stack_specific_power)
     rated = stack_mass * c.stack_specific_power
     fuel_mass = inputs.mass_budget - stack_mass
     warnings: list[str] = []
@@ -225,19 +230,19 @@ def size_direct_fc(inputs: SizingInputs, *, stack_factor: float = 2.0,
         fuel_mass=fuel_mass,
         electronics_mass=0.0,
         run_time=run_time,
-        system_life=fc_life(stress_voltage, 0.0, degradation),
+        system_life=fc_life(_STRESS_VOLTAGE),
         energy_density=c.fuel_specific_energy,
         system_energy_density=fuel_wh / inputs.mass_budget,
         load_basis=inputs.steady_power,
         peak_capability=rated,
         feasible=feasible,
-        label=label or "fuel cell",
+        label=supply_label(MODE_DIRECT),
         warnings=warnings,
     )
 
 
 def size_battery_only(template: BatterySpec, mass_budget: float,
-                      average_load: float, *, label: str = "") -> SizingResult:
+                      average_load: float) -> SizingResult:
     """The whole budget becomes one pack of the template's chemistry."""
     if not 0.0 < mass_budget < math.inf:
         raise ValidationError("mass_budget must be finite and > 0")
@@ -257,7 +262,7 @@ def size_battery_only(template: BatterySpec, mass_budget: float,
         load_basis=average_load,
         peak_capability=mass_budget * template.specific_power,
         feasible=True,
-        label=label or f"{template.chemistry} battery",
+        label=supply_label(MODE_BATTERY, template.chemistry),
     )
 
 
@@ -286,35 +291,32 @@ def system_life(config: HybridConfig, run_time: float | None = None, *,
 
 def config_from_sizing(result: SizingResult, *,
                        constants: SizingConstants = SizingConstants(),
-                       battery_template: BatterySpec | None = None,
-                       cell_voltage: float = _CELL_VOLTAGE,
-                       stress_voltage: float = 0.95,
-                       degradation: DegradationParams = DegradationParams()) -> HybridConfig:
+                       battery_template: BatterySpec | None = None) -> HybridConfig:
     """Build a simulatable configuration realizing a sizing result.
 
-    Both fuel modes get fc_setpoint = result.load_basis. A direct stack
-    follows the load up to its rating, so in direct_fc mode only the
-    comparison reads the setpoint, as its row's load basis.
+    Both fuel modes get fc_setpoint = min(result.load_basis, the stack's
+    rated power), the effective setpoint. A direct stack follows the load
+    up to its rating, so in direct_fc mode only the comparison reads the
+    setpoint, as its row's load basis.
     """
     if battery_template is None:
         battery_template = default_battery_template(constants)
     if result.mode == MODE_BATTERY:
         stack = FuelCellStackSpec(rated_power=0.0, mass=0.0,
-                                  cell_voltage=cell_voltage)
+                                  cell_voltage=_CELL_VOLTAGE)
         setpoint = 0.0
     else:
         stack = FuelCellStackSpec.from_mass(
             result.stack_mass,
-            cell_voltage=stress_voltage if result.mode == MODE_DIRECT else cell_voltage,
+            cell_voltage=_STRESS_VOLTAGE if result.mode == MODE_DIRECT else _CELL_VOLTAGE,
             specific_power=constants.stack_specific_power)
-        setpoint = result.load_basis
+        setpoint = min(result.load_basis, stack.rated_power)
     return HybridConfig(
         stack=stack, battery=battery_template.scaled(result.battery_mass),
         tank=FuelTankSpec(fuel_mass=result.fuel_mass,
                           specific_energy_electric=constants.fuel_specific_energy),
         electronics=ElectronicsSpec(mass=result.electronics_mass),
-        controller=ControllerParams(fc_setpoint=setpoint),
-        degradation=degradation, mode=result.mode)
+        controller=ControllerParams(fc_setpoint=setpoint), mode=result.mode)
 
 
 @dataclass(frozen=True)
@@ -333,8 +335,6 @@ class SetpointEvaluation:
 
 def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
                       setpoint: float, *, dt: float | None = None,
-                      battery_template: BatterySpec | None = None,
-                      degradation: DegradationParams = DegradationParams(),
                       memo: dict[HybridConfig, SimulationResult] | None = None
                       ) -> SetpointEvaluation:
     """Size a hybrid for the given setpoint and judge one settled pass.
@@ -350,33 +350,27 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     two passes of a supply already simulated. The stack is sized to whole
     grams and simulate reads the setpoint only as the configuration's
     effective_setpoint, so every setpoint from a gram's rated power up to
-    the next rounding edge builds one supply; the key is the configuration
-    with its setpoint replaced by that effective one. The passes also depend on the profile
-    and dt, which the key leaves out: share a memo only among calls with
+    the next rounding edge builds one supply; the key is the configuration,
+    whose fc_setpoint is already that effective one (config_from_sizing).
+    The passes also depend on the profile and dt, which the key leaves out: share a memo only among calls with
     one profile and one dt, as optimize_setpoint does within one search.
     Sizing, life and the feasibility tests run as without it, so the
     evaluation is the same.
     """
     if setpoint < 0:
         raise ValidationError("setpoint must be >= 0")
-    sized = size_hybrid(
-        SizingInputs(inputs.mass_budget, setpoint, inputs.peak_power,
-                     inputs.constants),
-        degradation=degradation)
+    sized = size_hybrid(SizingInputs(inputs.mass_budget, setpoint,
+                                     inputs.peak_power, inputs.constants))
     if not sized.feasible:
         return SetpointEvaluation(setpoint, 0.0, 0.0, 0.0, 0.0, False,
                                   "mass_budget", sized)
-    config = config_from_sizing(sized, constants=inputs.constants,
-                                battery_template=battery_template,
-                                degradation=degradation)
-    supply = replace(config, controller=replace(
-        config.controller, fc_setpoint=config.effective_setpoint))
-    res = memo.get(supply) if memo is not None else None
+    config = config_from_sizing(sized, constants=inputs.constants)
+    res = memo.get(config) if memo is not None else None
     if res is None:
         settle = simulate(config, profile, dt=dt)
         res = simulate(config, profile, dt=dt, initial_soc=settle.soc_final)
         if memo is not None:
-            memo[supply] = res
+            memo[config] = res
     pass_h = res.run_time
     cap = config.battery.capacity_wh
     net_drain = (res.soc_initial - res.soc_final) * cap
@@ -400,10 +394,7 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
 
 
 def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs,
-                      life_floor: float = 0.0, *, tolerance: float = 0.1,
-                      dt: float | None = None, grid_step: float = 0.5,
-                      battery_template: BatterySpec | None = None,
-                      degradation: DegradationParams = DegradationParams()
+                      life_floor: float = 0.0, *, dt: float | None = None
                       ) -> tuple[float, SizingResult]:
     """Pick the fuel-cell setpoint that maximizes endurance on the profile.
 
@@ -414,13 +405,12 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs,
 
     From the profile's average power, clamped to [0, peak_power], the
     search steps down while the setpoint is feasible and up while it is
-    not, the first step tolerance W and each later one twice the last,
-    until a feasible and an infeasible setpoint bracket the edge; it then
-    bisects the bracket to min(tolerance, grid_step) * 1e-3 W and returns
-    its feasible end. A feasible 0 W is returned as it stands. Only if the
-    walk reaches peak_power without a feasible setpoint does a grid sweep
-    at grid_step W pick the longest-running feasible one, whose lower
-    edge is bisected the same way. Setpoints that build the same supply
+    not, the first step 0.1 W and each later one twice the last, until a
+    feasible and an infeasible setpoint bracket the edge; it then bisects
+    the bracket to 1e-4 W and returns its feasible end. A feasible 0 W is
+    returned as it stands. Only if the walk reaches peak_power without a
+    feasible setpoint does a grid sweep at 0.5 W pick the longest-running
+    feasible one, whose lower edge is bisected the same way. Setpoints that build the same supply
     share one memo of settled passes (see evaluate_setpoint), so each
     supply is simulated once per search. Deterministic. Raises
     InfeasibleError naming the binding constraint when no setpoint
@@ -428,10 +418,7 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs,
     floor above the stack's zero-ripple life raises before any evaluation:
     ripple and the battery's cycle horizon only lower a setpoint's life.
     """
-    for name, value in (("tolerance", tolerance), ("grid_step", grid_step)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"{name} must be finite and > 0")
-    bound = fc_life(_CELL_VOLTAGE, 0.0, degradation)
+    bound = fc_life(_CELL_VOLTAGE)
     if life_floor > bound:
         raise InfeasibleError(
             f"life floor {life_floor:g} h exceeds the stack's zero-ripple life "
@@ -443,9 +430,7 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs,
     def judge(x: float) -> tuple[float, SetpointEvaluation]:
         ev = cache.get(x)
         if ev is None:
-            ev = evaluate_setpoint(profile, inputs, x, dt=dt,
-                                   battery_template=battery_template,
-                                   degradation=degradation, memo=memo)
+            ev = evaluate_setpoint(profile, inputs, x, dt=dt, memo=memo)
             cache[x] = ev
         if not ev.feasible:
             reasons.add(ev.reason)
@@ -461,14 +446,14 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs,
     peak = inputs.peak_power
     x = min(max(profile_stats(profile).average_power, 0.0), peak)
     lo, hi = (None, x) if feasible(x) else (x, None)
-    step = tolerance
+    step = _TOLERANCE
     while (lo is None and hi > 0.0) or (hi is None and lo < peak):
         x = max(hi - step, 0.0) if lo is None else min(lo + step, peak)
         lo, hi = (lo, x) if feasible(x) else (x, hi)
         step *= 2.0
 
     if hi is None:
-        for x in np.arange(0.0, peak + grid_step / 2, grid_step):
+        for x in np.arange(0.0, peak + _GRID_STEP / 2, _GRID_STEP):
             judge(float(x))
         hi = max(cache, key=lambda x: (judge(x)[0], -x))
         if not feasible(hi):
@@ -485,7 +470,7 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs,
                 f"constraints (binding: {binding})", binding_constraint=binding)
         lo = max((x for x in cache if x < hi and not feasible(x)), default=None)
 
-    refine = min(tolerance, grid_step) * 1e-3
+    refine = _TOLERANCE * 1e-3
     while lo is not None and hi - lo > refine:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
