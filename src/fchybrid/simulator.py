@@ -174,22 +174,26 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     set. Decimation keeps logs small without touching the integration.
 
     ripple is (max - min) / mean of the stack output over a steady window,
-    through ``controller.ripple_of``. Let L be the number of steps through
-    the last one with fc_output > 0 (none: ripple 0.0), and P1 the number
-    of steps before the profile first wraps (the whole run if it never
-    does). The window is steps [min(L // 2, P1), L): the steady half of
-    the fuelled steps, never starting after the first pass. The stack-off
-    tail of a run that ran dry stays out of it, and a looped run longer
-    than two passes is measured over every pass after the first. Memory
-    is set by the profile, not the run's length: stack-off steps are
-    counted, and stored only when a fuelled step follows them; once the
-    window's start is fixed at P1, the steps before it are dropped and
-    each wrap folds the stored output, in blocks of at least FOLD_BLOCK
-    steps, into a running (min, max, sum, count). When L <= 2 * P1, as in every run that is not looped past its
-    second pass, ripple is exactly ``measure_ripple`` of the stack output
-    cut at L, and nothing is ever folded; once something is, the sum of
-    block sums may differ from one numpy sum of the window in the last
-    bits.
+    through ``controller.ripple_of``. A full step is one whose stack
+    output is above 0 W and not cut by ``dispatch_power`` to the fuel
+    left (fc_output == the command); a cut step burns fuel and counts as
+    stack time, but its output enters the window as 0 W. Let L be the
+    number of steps through the last full one (none: ripple 0.0), and P1
+    the number of steps before the profile first wraps (the whole run if
+    it never does). The window is steps [min(L // 2, P1), L): the steady
+    half of the fuelled steps, never starting after the first pass. The
+    stack-off tail of a run that ran dry stays out of it, the partial
+    step on which the tank ran out included, and a looped run longer than
+    two passes is measured over every pass after the first. Memory is set
+    by the profile, not the run's length: steps that are not full are
+    counted, and stored as 0 W only when a full step follows them; once
+    the window's start is fixed at P1, the steps before it are dropped
+    and each wrap folds the stored output, in blocks of at least
+    FOLD_BLOCK steps, into a running (min, max, sum, count). When
+    L <= 2 * P1, as in every run that is not looped past its second pass,
+    ripple is exactly ``measure_ripple`` of that series cut at L, and
+    nothing is ever folded; once something is, the sum of block sums may
+    differ from one numpy sum of the window in the last bits.
 
     dt and max_hours must be finite and positive; anything else (NaN
     included) raises ValidationError before the first step. A run that passes
@@ -254,9 +258,9 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     unmet_bus = 0.0
     curtailed = 0.0
     fc_on_h = 0.0
-    fc_series = array("d")  # stack output of steps stored_from.., ending fuelled
+    fc_series = array("d")  # stack output of steps stored_from.., ending on a full step
     stored_from = 0
-    off = 0  # stack-off steps since the last stored one
+    off = 0  # steps that were not full since the last stored one
     first_pass = -1  # steps before the profile first wrapped
     folded = (math.inf, -math.inf, 0.0, 0)  # (min, max, sum, count) folded so far
     flows: list[EnergyFlow] = []
@@ -338,10 +342,13 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
             if fuel_wh < 0.0:
                 fuel_wh = 0.0
             fc_on_h += dt_h
-            if off:
-                fc_series.extend(repeat(0.0, off))
-                off = 0
-            fc_series.append(fc_out)
+            if fc_out < fc_cmd:  # cut to the fuel left: out of the window
+                off += 1
+            else:
+                if off:
+                    fc_series.extend(repeat(0.0, off))
+                    off = 0
+                fc_series.append(fc_out)
         else:
             off += 1
         unmet = flow.unmet

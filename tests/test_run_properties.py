@@ -8,12 +8,13 @@ length, and runs go once or looped, some long enough that ``simulate``
 folds its stack output into running statistics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from fchybrid import simulator
+from fchybrid import presets, simulator
 from fchybrid.controller import ControllerParams, ripple_of, window_stats
 from fchybrid.powertrain import (
     BatterySpec,
@@ -22,7 +23,7 @@ from fchybrid.powertrain import (
     FuelTankSpec,
     fuel_energy,
 )
-from fchybrid.profile import PowerProfile
+from fchybrid.profile import GaitParams, PowerProfile, synthesize_walk_profile
 from fchybrid.simulator import (
     FOLD_BLOCK,
     MODE_BATTERY,
@@ -114,10 +115,12 @@ def runs(draw):
     return config, profile, dt, looped, initial_soc
 
 
-def window_ripple(flows, duration):
+def window_ripple(flows, commands, duration):
     """(ripple, L, P1) of the steady window [min(L // 2, P1), L) over the
-    stride-1 stack output of a run."""
+    stride-1 stack output of a run, each step the fuel cap cut below its
+    command counted as 0 W."""
     series = np.array([f.fc_output for f in flows])
+    series[series < np.array(commands)] = 0.0
     fuelled = np.flatnonzero(series > 0.0)
     wrapped = np.flatnonzero(np.array([f.time for f in flows]) >= duration - 1e-9)
     first = int(wrapped[0]) if wrapped.size else len(flows)
@@ -128,6 +131,7 @@ def window_ripple(flows, duration):
 
 
 GAIT = profile_of([0.0, 0.3, 0.5, 0.8, 1.0], [52.0, 31.0, -0.0, 44.0, 44.0])
+HYBRID = presets.hybrid_config()
 
 
 @RUN
@@ -149,14 +153,18 @@ GAIT = profile_of([0.0, 0.3, 0.5, 0.8, 1.0], [52.0, 31.0, -0.0, 44.0, 44.0])
 # 1.6e-198 W drawn from a 2.8e-6 Wh tank: each step's fuel vanishes in it
 @example((supply(MODE_HYBRID, 2.78e-6, 0.0, 1.0, 1.0, 1.0, soc_min=0.0),
           profile_of([0.0, 1.0], [1.6e-198, 0.0]), 0.01, False, None))
+# the hybrid preset's 6 Wh tank runs out on a step that delivers about 1 µW
+@example((replace(HYBRID, tank=replace(HYBRID.tank, fuel_mass=6.0 / FUEL_WH_PER_KG)),
+          synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=5.0)), 0.01,
+          True, HYBRID.battery.soc_min))
 def test_run_invariants(run):
     config, profile, dt, looped, initial_soc = run
-    calls = []
+    calls = []  # the stack command of each dispatch
     dispatch_power = simulator.dispatch_power
 
-    def counting_dispatch(*args):
-        calls.append(None)
-        return dispatch_power(*args)
+    def counting_dispatch(demand, fc_command, *args):
+        calls.append(fc_command)
+        return dispatch_power(demand, fc_command, *args)
 
     simulator.dispatch_power = counting_dispatch
     try:
@@ -189,7 +197,7 @@ def test_run_invariants(run):
     assert battery.soc_min - 1e-12 <= res.soc_low <= res.soc_high <= battery.soc_max + 1e-12
     assert res.soc_low <= res.soc_final <= res.soc_high
 
-    ripple, last, first = window_ripple(res.flows, profile.duration)
+    ripple, last, first = window_ripple(res.flows, calls, profile.duration)
     folds = last > 2 * first and last - first >= FOLD_BLOCK
     event(f"{res.termination}, {'looped' if looped else 'once'}{', folds' if folds else ''}")
     if folds:  # some output may be folded

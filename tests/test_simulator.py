@@ -549,7 +549,21 @@ class TestHoldRule:
 
 
 class TestRippleContract:
-    """simulate reports measure_ripple of the stack output it dispatched."""
+    """simulate reports measure_ripple of the stack output it dispatched,
+    every step the fuel cap cut below its command counted as 0 W."""
+
+    @pytest.fixture
+    def commands(self, monkeypatch):
+        """The stack command of every step simulate dispatches."""
+        seen = []
+        dispatch_power = simulator.dispatch_power
+
+        def recording_dispatch(demand, fc_command, *args):
+            seen.append(fc_command)
+            return dispatch_power(demand, fc_command, *args)
+
+        monkeypatch.setattr(simulator, "dispatch_power", recording_dispatch)
+        return seen
 
     @pytest.mark.parametrize("make_config", [
         lambda: tiny_hybrid(fuel_wh=5.0, capacity_wh=0.2, setpoint=55.0, headroom=0.02),
@@ -572,23 +586,44 @@ class TestRippleContract:
         assert res.ripple == measure_ripple(series) == 0.0
 
     @staticmethod
-    def fuelled(series):
-        return max(i + 1 for i, p in enumerate(series) if p > 0.0)
+    def full(flows, commands):
+        """(stride-1 stack output with every step the fuel cap cut zeroed,
+        steps through its last nonzero step)"""
+        series = np.array([f.fc_output for f in flows])
+        series[series < np.array(commands)] = 0.0
+        return series, int(np.flatnonzero(series)[-1]) + 1
 
-    def test_stack_off_tail_of_a_looped_run_stays_out(self):
+    def test_stack_off_tail_of_a_looped_run_stays_out(self, commands):
         # the tank runs dry in the second pass and the battery carries on
         # for hundreds of steps with the stack off
         profile = gait(20.0)
         res = simulate(tiny_hybrid(fuel_wh=0.4, capacity_wh=0.5), profile, dt=0.05,
                        loop_profile=True, record_flows=True, flow_stride=1)
         assert res.termination == FUEL_EXHAUSTED
-        series = [f.fc_output for f in res.flows]
-        last = self.fuelled(series)
+        series, last = self.full(res.flows, commands)
         assert res.steps - last > 100
         assert last <= 2 * 400  # 400 steps a pass: the window is the steady half
         assert res.ripple == measure_ripple(series[:last]) != measure_ripple(series)
 
-    def test_long_looped_run_folds_every_pass_after_the_first(self, monkeypatch):
+    def test_partial_last_step_stays_out(self, commands):
+        # looped from the SOC floor on a 6 Wh tank: the step on which it
+        # runs out delivers about a microwatt, and would read ripple 1.00002
+        base = presets.hybrid_config()
+        tank = replace(base.tank, fuel_mass=6.0 / base.tank.specific_energy_electric)
+        profile = synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=5.0))
+        res = simulate(replace(base, tank=tank), profile, dt=0.01, loop_profile=True,
+                       initial_soc=base.battery.soc_min, record_flows=True,
+                       flow_stride=1)
+        assert res.termination == FUEL_EXHAUSTED
+        outputs = np.array([f.fc_output for f in res.flows])
+        cut = np.flatnonzero((outputs > 0.0) & (outputs < np.array(commands)))
+        assert cut.size and outputs[cut[-1]] < 1e-3
+        series, last = self.full(res.flows, commands)
+        assert last <= cut[-1]
+        assert res.ripple == 0.0
+
+    def test_long_looped_run_folds_every_pass_after_the_first(self, monkeypatch,
+                                                              commands):
         folds = []
         fold = simulator._fold
 
@@ -599,8 +634,7 @@ class TestRippleContract:
         monkeypatch.setattr(simulator, "_fold", counting_fold)
         res = simulate(tiny_hybrid(fuel_wh=25.0, capacity_wh=0.2), gait(2.0), dt=0.05,
                        loop_profile=True, record_flows=True, flow_stride=1)
-        series = np.array([f.fc_output for f in res.flows])
-        last = self.fuelled(series)
+        series, last = self.full(res.flows, commands)
         assert last > 2 * 40 + 2 * simulator.FOLD_BLOCK
         assert len(folds) >= 3  # two wraps, and the stored rest at the end
         assert min(folds[:-1]) >= simulator.FOLD_BLOCK
