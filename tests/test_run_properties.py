@@ -1,6 +1,7 @@
-"""Invariants of generated runs: energy closes, SOC stays in its window,
-each counted step is one dispatch, and the reported ripple is the steady
-window formula of ``simulate``'s docstring over the stride-1 stack output.
+"""Invariants of generated runs: energy closes, every flow balances
+exactly, SOC stays in its window, each counted step is one dispatch, and
+the reported ripple is the steady window formula of ``simulate``'s
+docstring over the stride-1 stack output.
 
 Supplies are tiny (packs and tanks of a few Wh at most), profiles are a few
 seconds long with 0 W stretches and -0.0 samples, dt reaches the profile's
@@ -180,6 +181,9 @@ def test_run_invariants(run):
         simulator.dispatch_power = dispatch_power
 
     assert res.steps == len(calls) == len(res.flows)
+    for f in res.flows:
+        assert f.fc_output + f.battery_power - f.demand == f.curtailed - f.unmet
+        assert min(f.unmet, f.curtailed) == 0.0
 
     # bus-side closure, relative to the largest energy the run accounts
     # for, stores included: a flow below the last bit of the demand or of
