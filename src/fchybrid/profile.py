@@ -136,12 +136,12 @@ def synthesize_walk_profile(params: GaitParams, step: float | None = None,
 
     step defaults to gait_period / 50, which keeps per-cycle energy error
     under 2 percent for any duty and is exact when the duty aligns with
-    the grid.
+    the grid. A given step must be finite and > 0.
     """
     if step is None:
         step = params.gait_period / 50.0
-    if step <= 0:
-        raise ValidationError("step must be > 0")
+    if not 0.0 < step < math.inf:
+        raise ValidationError("step must be finite and > 0")
     n = int(math.ceil(params.duration / step - 1e-9))
     times = np.arange(n + 1) * step
     if times[-1] < params.duration - 1e-9 * params.duration:

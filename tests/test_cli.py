@@ -296,9 +296,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["profile", "synth", "--duration", "nan"],
         ["profile", "synth", "--mech-peak", "inf"],
+        ["profile", "synth", "--step", "nan"],
+        ["profile", "synth", "--step", "inf"],
         ["size", "--budget", "nan"],
         ["size", "--steady", "inf"],
-    ], ids=["synth-duration", "synth-mech-peak", "size-budget", "size-steady"])
+    ], ids=["synth-duration", "synth-mech-peak", "synth-step-nan", "synth-step-inf",
+            "size-budget", "size-steady"])
     def test_non_finite_flag(self, capsys, argv):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -149,6 +149,12 @@ class TestSynthesize:
         with pytest.raises(ValidationError):
             synthesize_walk_profile(GaitParams(), step=0.0)
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, -1.0])
+    def test_step_must_be_finite_and_positive(self, step):
+        # NaN fell through to numpy's ValueError, inf to a 1-sample profile
+        with pytest.raises(ValidationError, match="step must be finite and > 0"):
+            synthesize_walk_profile(GaitParams(), step=step)
+
 
 class TestProfileStats:
     def test_flat_profile(self):
