@@ -258,7 +258,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     unmet_bus = 0.0
     curtailed = 0.0
     fc_on_h = 0.0
-    fc_series = array("d")  # stack output of steps stored_from.., ending on a full step
+    fc_series = array("d")  # stack output of steps stored_from.., ending full
     stored_from = 0
     off = 0  # steps that were not full since the last stored one
     first_pass = -1  # steps before the profile first wrapped

@@ -146,14 +146,10 @@ class TestSynthesize:
         assert (np.diff(p.times) > 0).all()
 
     def test_step_validation(self):
-        with pytest.raises(ValidationError):
-            synthesize_walk_profile(GaitParams(), step=0.0)
-
-    @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, -1.0])
-    def test_step_must_be_finite_and_positive(self, step):
         # NaN fell through to numpy's ValueError, inf to a 1-sample profile
-        with pytest.raises(ValidationError, match="step must be finite and > 0"):
-            synthesize_walk_profile(GaitParams(), step=step)
+        for step in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="step must be finite and > 0"):
+                synthesize_walk_profile(GaitParams(), step=step)
 
 
 class TestProfileStats:

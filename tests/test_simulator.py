@@ -605,23 +605,6 @@ class TestRippleContract:
         assert last <= 2 * 400  # 400 steps a pass: the window is the steady half
         assert res.ripple == measure_ripple(series[:last]) != measure_ripple(series)
 
-    def test_partial_last_step_stays_out(self, commands):
-        # looped from the SOC floor on a 6 Wh tank: the step on which it
-        # runs out delivers about a microwatt, and would read ripple 1.00002
-        base = presets.hybrid_config()
-        tank = replace(base.tank, fuel_mass=6.0 / base.tank.specific_energy_electric)
-        profile = synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=5.0))
-        res = simulate(replace(base, tank=tank), profile, dt=0.01, loop_profile=True,
-                       initial_soc=base.battery.soc_min, record_flows=True,
-                       flow_stride=1)
-        assert res.termination == FUEL_EXHAUSTED
-        outputs = np.array([f.fc_output for f in res.flows])
-        cut = np.flatnonzero((outputs > 0.0) & (outputs < np.array(commands)))
-        assert cut.size and outputs[cut[-1]] < 1e-3
-        series, last = self.full(res.flows, commands)
-        assert last <= cut[-1]
-        assert res.ripple == 0.0
-
     def test_long_looped_run_folds_every_pass_after_the_first(self, monkeypatch,
                                                               commands):
         folds = []
