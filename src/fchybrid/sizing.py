@@ -308,7 +308,8 @@ def config_from_sizing(result: SizingResult, *,
     else:
         stack = FuelCellStackSpec.from_mass(
             result.stack_mass,
-            cell_voltage=_STRESS_VOLTAGE if result.mode == MODE_DIRECT else _CELL_VOLTAGE,
+            cell_voltage=(_STRESS_VOLTAGE if result.mode == MODE_DIRECT
+                          else _CELL_VOLTAGE),
             specific_power=constants.stack_specific_power)
         setpoint = min(result.load_basis, stack.rated_power)
     return HybridConfig(
@@ -352,8 +353,9 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     effective_setpoint, so every setpoint from a gram's rated power up to
     the next rounding edge builds one supply; the key is the configuration,
     whose fc_setpoint is already that effective one (config_from_sizing).
-    The passes also depend on the profile and dt, which the key leaves out: share a memo only among calls with
-    one profile and one dt, as optimize_setpoint does within one search.
+    The passes also depend on the profile and dt, which the key leaves
+    out: share a memo only among calls with one profile and one dt, as
+    optimize_setpoint does within one search.
     Sizing, life and the feasibility tests run as without it, so the
     evaluation is the same.
     """
@@ -410,9 +412,9 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs,
     the bracket to 1e-4 W and returns its feasible end. A feasible 0 W is
     returned as it stands. Only if the walk reaches peak_power without a
     feasible setpoint does a grid sweep at 0.5 W pick the longest-running
-    feasible one, whose lower edge is bisected the same way. Setpoints that build the same supply
-    share one memo of settled passes (see evaluate_setpoint), so each
-    supply is simulated once per search. Deterministic. Raises
+    feasible one, whose lower edge is bisected the same way. Setpoints
+    that build the same supply share one memo of settled passes (see
+    evaluate_setpoint), so each supply is simulated once per search. Deterministic. Raises
     InfeasibleError naming the binding constraint when no setpoint
     satisfies demand, battery sustainability, and the life floor. A life
     floor above the stack's zero-ripple life raises before any evaluation:
