@@ -26,11 +26,13 @@ from fchybrid.profile import GaitParams, PowerProfile, synthesize_walk_profile
 from fchybrid.simulator import (
     BATTERY_DEPLETED,
     FUEL_EXHAUSTED,
+    GRACE_S,
     MODE_BATTERY,
     MODE_DIRECT,
     MODE_HYBRID,
     PROFILE_ENDED,
     UNMET_DEMAND,
+    UNMET_FRACTION,
     HybridConfig,
     default_dt,
     run_time_constant_load,
@@ -203,6 +205,32 @@ class TestTerminations:
         res = simulate(cfg, p, dt=1.0)
         assert res.termination == UNMET_DEMAND
         assert math.isclose(res.run_time, 10.0 / 3600.0)
+
+    @pytest.mark.parametrize("spike_s, ending", [
+        (GRACE_S - 1.0, PROFILE_ENDED), (GRACE_S, UNMET_DEMAND),
+        (GRACE_S + 1.0, UNMET_DEMAND)])
+    def test_grace_window(self, spike_s, ending):
+        # the stack covers 90 W of a 400 W spike and there is no pack
+        cfg = tiny_hybrid(capacity_wh=0.0, power_w=0.0, setpoint=90.0)
+        p = steps([0.0, 10.0, 10.0 + spike_s, 60.0], [45.0, 400.0, 45.0, 45.0])
+        res = simulate(cfg, p, dt=1.0)
+        assert res.termination == ending
+        assert res.unmet_energy > 0.0
+        if ending == UNMET_DEMAND:
+            assert math.isclose(res.run_time, 10.0 / 3600.0)
+            assert res.steps == 10 + GRACE_S
+
+    @pytest.mark.parametrize("share, ending", [
+        (0.5, PROFILE_ENDED), (0.9, PROFILE_ENDED),
+        (1.1, UNMET_DEMAND), (2.0, UNMET_DEMAND)])
+    def test_unmet_fraction_threshold(self, share, ending):
+        # a lossless 90 W direct stack leaves share * UNMET_FRACTION of
+        # this demand unmet on every step
+        demand = 90.0 / (1.0 - share * UNMET_FRACTION)
+        res = simulate(presets.direct_fc_config(), flat(demand, duration=60.0),
+                       dt=1.0)
+        assert res.termination == ending
+        assert res.steps == (GRACE_S if ending == UNMET_DEMAND else 60)
 
     def test_max_hours_guard(self):
         cfg = presets.hybrid_config()

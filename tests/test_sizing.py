@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from fchybrid import presets, sizing
 from fchybrid.errors import InfeasibleError, ValidationError
 from fchybrid.powertrain import fc_life
 from fchybrid.profile import GaitParams, PowerProfile, synthesize_walk_profile
+from fchybrid.report import compare
 from fchybrid.simulator import (
     MODE_BATTERY,
     MODE_DIRECT,
@@ -26,6 +27,7 @@ from fchybrid.sizing import (
     size_battery_only,
     size_direct_fc,
     size_hybrid,
+    supply_label,
     system_life,
 )
 
@@ -217,6 +219,33 @@ class TestSizeBatteryOnly:
     def test_non_finite_inputs_rejected(self, budget, load):
         with pytest.raises(ValidationError, match="finite and > 0"):
             size_battery_only(presets.NIMH_TEMPLATE, budget, load)
+
+
+class TestSupplyLabel:
+    """One rule names a supply, for the allocators and the comparison rows."""
+
+    @pytest.mark.parametrize("mode, chemistry, label", [
+        (MODE_HYBRID, "", "fuel cell hybrid"),
+        (MODE_DIRECT, "", "fuel cell"),
+        (MODE_HYBRID, "NiMH", "fuel cell hybrid"),  # the buffer does not name it
+        (MODE_BATTERY, "NiMH", "NiMH battery"),
+    ])
+    def test_rule(self, mode, chemistry, label):
+        assert supply_label(mode, chemistry) == label
+
+    @pytest.mark.parametrize("chemistry", ["NiMH", "Li-ion", "LiFePO4"])
+    def test_pack_row_names_its_chemistry(self, chemistry):
+        template = replace(presets.NIMH_TEMPLATE, chemistry=chemistry)
+        sized = size_battery_only(template, 1.2, 16.0)
+        row = compare([config_from_sizing(sized, battery_template=template)])[0]
+        assert sized.label == row.label == f"{chemistry} battery"
+
+    @pytest.mark.parametrize("allocate", [size_hybrid, size_direct_fc])
+    def test_fuel_row_ignores_the_buffer_chemistry(self, allocate):
+        template = replace(default_battery_template(), chemistry="LiFePO4")
+        sized = allocate(INPUTS)
+        row = compare([config_from_sizing(sized, battery_template=template)])[0]
+        assert row.label == sized.label == supply_label(sized.mode)
 
 
 class TestInternalConsistency:
