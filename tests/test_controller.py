@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fchybrid.controller import (
     ControllerParams,
+    EnergyFlow,
     dispatch_power,
     measure_ripple,
     ripple_of,
@@ -12,7 +14,7 @@ from fchybrid.controller import (
     window_stats,
 )
 from fchybrid.errors import ValidationError
-from fchybrid.powertrain import BatterySpec, BatteryState
+from fchybrid.powertrain import BatterySpec, BatteryState, battery_step
 
 
 def pack(capacity_wh=100.0, power_w=250.0, soc_min=0.0, soc_max=1.0,
@@ -212,6 +214,56 @@ class TestDispatch:
             dispatch_power(-1.0, 45.0, 1.0, pack(), BatteryState(soc=0.5), 100.0, 1.0)
         with pytest.raises(ValidationError):
             dispatch_power(45.0, 45.0, 1.0, pack(), BatteryState(soc=0.5), 100.0, 0.0)
+
+
+def assert_like_constructed(record, cls):
+    """record is a complete cls, equal to and printed as the one the class
+    call builds from its values; an unset slot raises AttributeError."""
+    assert type(record) is cls
+    built = cls(**{f.name: getattr(record, f.name) for f in fields(cls)})
+    assert record == built
+    assert repr(record) == repr(built)
+
+
+class TestStepRecords:
+    """The step functions build their records slot by slot, not through
+    the class call; each must be the record the class call would build."""
+
+    @pytest.mark.parametrize("spec, soc, power, dt", [
+        (pack(eta=0.9), 0.5, 50.0, 1.0),
+        (pack(eta=0.9), 0.5, -50.0, 1.0),
+        (pack(), 0.5, 1000.0, 1.0),
+        (pack(), 0.5, -1000.0, 1.0),
+        (pack(soc_min=0.2), 0.21, 250.0, 3600.0),
+        (pack(soc_max=0.9), 0.89, -250.0, 3600.0),
+        (pack(), 0.5, 0.0, 1.0),
+        (pack(capacity_wh=0.0), 0.5, 50.0, 1.0),
+    ], ids=["discharge", "charge", "discharge-clamp", "charge-clamp", "soc-floor",
+            "soc-ceiling", "idle", "zero-capacity"])
+    def test_battery_state(self, spec, soc, power, dt):
+        state0 = BatteryState(soc, 1.0, 2.0)
+        state, _ = battery_step(spec, state0, power, dt)
+        assert_like_constructed(state, BatteryState)
+        assert state is not state0
+
+    @pytest.mark.parametrize("demand, command, spec, soc, fuel_wh", [
+        (45.0, 45.0, pack(), 0.5, 100.0),
+        (250.0, 45.0, pack(), 1.0, 100.0),
+        (40.0, 45.0, pack(), 0.5, 100.0),
+        (40.0, 45.0, pack(), 1.0, 100.0),
+        (45.0, 45.0, pack(), 1.0, 0.01),
+        (45.0, 45.0, pack(), 0.0, 0.0),
+        (45.0, 45.0, pack(capacity_wh=0.0), 0.5, 100.0),
+        (10.0, 45.0, pack(capacity_wh=0.0), 0.5, 100.0),
+    ], ids=["exact", "discharge", "charge", "curtailed", "fuel-cut", "unmet",
+            "zero-capacity", "zero-capacity-curtailed"])
+    def test_flow_and_state(self, demand, command, spec, soc, fuel_wh):
+        flow, state = dispatch_power(demand, command, 1.0, spec, BatteryState(soc),
+                                     fuel_wh, 1.0, time=7.0)
+        assert_like_constructed(flow, EnergyFlow)
+        assert_like_constructed(state, BatteryState)
+        assert flow.time == 7.0
+        assert flow.soc == state.soc
 
 
 class TestDispatchProperties:
