@@ -130,19 +130,29 @@ class GaitParams:
         return self.base_load + self.stride_duty * (self.stride_power - self.base_load)
 
 
+# grid steps a synthesized profile may have, checked before any array is
+# made: 55 times the 180,000 of a 1 h gait at the default step
+MAX_SYNTH_STEPS = 10_000_000
+
+
 def synthesize_walk_profile(params: GaitParams, step: float | None = None,
                             name: str = "walk") -> PowerProfile:
     """Sample the rectangular gait wave on a fixed grid.
 
     step defaults to gait_period / 50, which keeps per-cycle energy error
     under 2 percent for any duty and is exact when the duty aligns with
-    the grid. A given step must be finite and > 0.
+    the grid. A given step must be finite and > 0, and leave at most
+    MAX_SYNTH_STEPS steps over the duration.
     """
     if step is None:
         step = params.gait_period / 50.0
     if not 0.0 < step < math.inf:
         raise ValidationError("step must be finite and > 0")
-    n = int(math.ceil(params.duration / step - 1e-9))
+    steps = params.duration / step - 1e-9
+    if steps > MAX_SYNTH_STEPS:
+        raise ValidationError(f"step gives more than {MAX_SYNTH_STEPS} steps over "
+                              f"the duration")
+    n = int(math.ceil(steps))
     times = np.arange(n + 1) * step
     if times[-1] < params.duration - 1e-9 * params.duration:
         times = np.append(times, params.duration)

@@ -151,6 +151,22 @@ class TestSynthesize:
             with pytest.raises(ValidationError, match="step must be finite and > 0"):
                 synthesize_walk_profile(GaitParams(), step=step)
 
+    @pytest.mark.parametrize("step", [1e-300, 5e-324,
+                                      3600.0 / (profile_module.MAX_SYNTH_STEPS + 1)],
+                             ids=["1e-300", "subnormal", "just-past-the-cap"])
+    def test_step_too_fine(self, step):
+        # raised before any array is made: 1e-300 made numpy raise ValueError
+        with pytest.raises(ValidationError, match="step gives more than"):
+            synthesize_walk_profile(GaitParams(duration=3600.0), step=step)
+
+    def test_step_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(profile_module, "MAX_SYNTH_STEPS", 100)
+        g = GaitParams(duration=10.0)
+        assert len(synthesize_walk_profile(g, step=0.1).times) == 101
+        with pytest.raises(ValidationError, match="more than 100 steps"):
+            synthesize_walk_profile(g, step=10.0 / 101)
+
+
 
 class TestProfileStats:
     def test_flat_profile(self):
