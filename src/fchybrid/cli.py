@@ -2,7 +2,7 @@
 
 Subcommands: profile synth, profile stats, simulate, size, compare.
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 infeasible
-(including a looped simulation that passes its max_hours horizon).
+(including a simulation that passes its max_hours horizon).
 """
 
 from __future__ import annotations
