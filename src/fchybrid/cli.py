@@ -2,7 +2,7 @@
 
 Subcommands: profile synth, profile stats, simulate, size, compare.
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 infeasible
-(including a simulation that passes its max_hours horizon).
+(including a looped simulation that passes its max_hours horizon).
 """
 
 from __future__ import annotations
@@ -90,7 +90,6 @@ def _cmd_simulate(args) -> int:
             initial_soc=args.initial_soc,
             record_flows=args.flows > 0,
             flow_stride=args.flows if args.flows > 0 else 100,
-            max_hours=args.max_hours,
         )
     except RuntimeError as exc:  # a looped run that nothing drains
         raise InfeasibleError(str(exc)) from None
@@ -168,9 +167,6 @@ def build_parser() -> _Parser:
     sim.add_argument("--dt", type=float, default=None, help="time step, s")
     sim.add_argument("--loop", action="store_true",
                      help="repeat the profile until the supply dies")
-    sim.add_argument("--max-hours", type=float, default=None, metavar="H",
-                     help="simulated hours after which the run exits 3 "
-                          "(default 1e6 with --loop, no limit without)")
     sim.add_argument("--initial-soc", type=float, default=None,
                      help="battery state of charge at start (default full)")
     sim.add_argument("--flows", type=int, default=0, metavar="N",

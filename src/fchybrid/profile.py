@@ -141,8 +141,8 @@ def synthesize_walk_profile(params: GaitParams, step: float | None = None,
 
     step defaults to gait_period / 50, which keeps per-cycle energy error
     under 2 percent for any duty and is exact when the duty aligns with
-    the grid. A given step must be finite and > 0, and leave at most
-    MAX_SYNTH_STEPS steps over the duration.
+    the grid. A given step must be finite and > 0. Whatever sets the step,
+    the duration may hold at most MAX_SYNTH_STEPS of them.
     """
     if step is None:
         step = params.gait_period / 50.0
@@ -150,8 +150,8 @@ def synthesize_walk_profile(params: GaitParams, step: float | None = None,
         raise ValidationError("step must be finite and > 0")
     steps = params.duration / step - 1e-9
     if steps > MAX_SYNTH_STEPS:
-        raise ValidationError(f"step gives more than {MAX_SYNTH_STEPS} steps over "
-                              f"the duration")
+        raise ValidationError(f"duration / step gives more than {MAX_SYNTH_STEPS} "
+                              f"steps; raise --step or shorten --duration")
     n = int(math.ceil(steps))
     times = np.arange(n + 1) * step
     if times[-1] < params.duration - 1e-9 * params.duration:

@@ -255,36 +255,6 @@ class TestExitCodes:
         assert captured.err.startswith("infeasible:")
         assert "max_hours" in captured.err
 
-    @pytest.mark.parametrize("hours", ["nan", "inf", "-inf", "0", "-1"])
-    def test_bad_max_hours(self, tmp_path, capsys, hours):
-        profile = flat_profile_file(tmp_path)
-        assert main(["simulate", "--profile", str(profile), "--loop",
-                     f"--max-hours={hours}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: max_hours must be finite and > 0")
-
-    @pytest.mark.parametrize("loop", [True, False], ids=["looped", "single-pass"])
-    def test_run_past_max_hours(self, tmp_path, capsys, loop):
-        # looped, the preset hybrid runs 88 h on a flat 45 W load; a single
-        # pass of the 600 s profile passes a 0.1 h horizon as well
-        profile = flat_profile_file(tmp_path)
-        argv = ["simulate", "--profile", str(profile), "--max-hours", "0.1"]
-        assert main(argv + ["--loop"] * loop) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("infeasible:")
-        assert "max_hours safety horizon (0.1 h)" in captured.err
-
-    def test_max_hours_above_the_run_changes_nothing(self, tmp_path, capsys):
-        profile = flat_profile_file(tmp_path)
-        argv = ["simulate", "--profile", str(profile), "--loop", "--dt", "10"]
-        assert main(argv) == 0
-        default = capsys.readouterr().out
-        assert '"run_time_h": 88.' in default
-        assert main(argv + ["--max-hours", "100"]) == 0
-        assert capsys.readouterr().out == default
-
     @pytest.mark.parametrize("make_config", [presets.hybrid_config,
                                              presets.direct_fc_config,
                                              presets.nimh_config])
@@ -338,12 +308,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert "must be finite" in captured.err
 
-    def test_synth_step_too_fine(self, capsys):
-        # 3.6e303 samples: numpy raised ValueError from np.arange
-        assert main(["profile", "synth", "--step", "1e-300"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["--step", "1e-300"],
+        ["--duration", "360000"],
+        ["--period", "1e-5"],
+    ], ids=["step", "duration-at-default-step", "period-at-default-step"])
+    def test_synth_too_many_steps(self, capsys, argv):
+        # --step 1e-300 (3.6e303 samples) made np.arange raise ValueError;
+        # the default step of period/50 meets the same cap
+        assert main(["profile", "synth"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: step gives more than")
+        assert captured.err.startswith("error: duration / step gives more than")
+        assert "raise --step or shorten --duration" in captured.err
 
     @pytest.mark.parametrize("text, named", [
         ("[fuel_tank]\nfuel_mass = nan\n", "[fuel_tank] fuel_mass must be finite"),

@@ -156,16 +156,15 @@ class TestSynthesize:
                              ids=["1e-300", "subnormal", "just-past-the-cap"])
     def test_step_too_fine(self, step):
         # raised before any array is made: 1e-300 made numpy raise ValueError
-        with pytest.raises(ValidationError, match="step gives more than"):
+        with pytest.raises(ValidationError, match="duration / step gives more than"):
             synthesize_walk_profile(GaitParams(duration=3600.0), step=step)
 
     def test_step_cap_boundary(self, monkeypatch):
         monkeypatch.setattr(profile_module, "MAX_SYNTH_STEPS", 100)
         g = GaitParams(duration=10.0)
         assert len(synthesize_walk_profile(g, step=0.1).times) == 101
-        with pytest.raises(ValidationError, match="more than 100 steps"):
+        with pytest.raises(ValidationError, match="more than 100 steps; raise --step"):
             synthesize_walk_profile(g, step=10.0 / 101)
-
 
 
 class TestProfileStats:
