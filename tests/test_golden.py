@@ -11,7 +11,9 @@ sizings, comparison rows, profile statistics, the empty row list, and
 results built from int inputs, which still emit quantized floats.
 Three of them changed once since, when sizing CSV began to carry its
 warnings: the direct fuel-cell sizing (alone and in the table of four)
-and the infeasible one. Two more pin the flow series at its edges: every
+and the infeasible one. ``sizing-infeasible`` has since been re-pointed
+from a hybrid sizing, whose second warning came from a profile check
+that no longer exists, to a direct fuel-cell sizing with two warnings. Two more pin the flow series at its edges: every
 step of a gait recorded, and a looped run whose flows pass 1e6 s (so
 ``%.6g`` writes ``1e+06``) and hold a 3e-05 W demand (written ``3e-05``).
 ``compare-configs`` changed once, when every comparison row came to be
@@ -54,7 +56,7 @@ from fchybrid.profile import GaitParams, PowerProfile, synthesize_walk_profile
 from fchybrid.profile import profile_stats
 from fchybrid.report import compare, emit
 from fchybrid.simulator import simulate
-from fchybrid.sizing import SizingInputs, size_battery_only, size_hybrid
+from fchybrid.sizing import SizingInputs, size_battery_only, size_direct_fc
 
 
 def lossy_hybrid_config():
@@ -180,10 +182,8 @@ REPORTS = {
     "sizing-liion": presets.liion_sizing,
     "sizing-direct": presets.direct_fc_sizing,
     "sizing-hybrid": presets.hybrid_sizing,
-    # over budget, and an hour at 100 W outruns the pack: two warnings
-    "sizing-infeasible": lambda: size_hybrid(
-        SizingInputs(0.2, 45.0, 250.0),
-        profile=PowerProfile(times=np.array([0.0, 3600.0]), power=np.array([100.0, 100.0]))),
+    # the stack alone is over budget and cannot meet the peak: two warnings
+    "sizing-infeasible": lambda: size_direct_fc(SizingInputs(0.2, 100.0, 250.0)),
     "sizing-int-inputs": lambda: size_battery_only(presets.NIMH_TEMPLATE, 1, 16),
     "compare-table1": lambda: compare(presets.comparison_configs()),
     "compare-configs": lambda: compare(presets.comparison_configs()),
@@ -205,7 +205,7 @@ REPORT_GOLDEN = {
     "sizing-liion": "0bc86bb98775f395fdbc4529d367b7a3f8f277ec4ba5b5dbbb86c160625de39f",
     "sizing-direct": "839d13fa18d8be860bd211ce69780ed00afda1391e22b509a3bc1241b185b62f",
     "sizing-hybrid": "bbfb8d4c3041de72fe8f6c4dfc01f018eb1d8667dc8b9c0458adb580ee01f5f7",
-    "sizing-infeasible": "f779760833f70b02be374147481e5073f57240bbb5eee16e126676f36c3f2ab2",
+    "sizing-infeasible": "505541707bab7b5c2f5409e83098eeb5198947562327cf088062b1d7d95ddaf9",
     "sizing-int-inputs": "73c6ba17748b8e5987eba08d4be3e90db5b7d305fd07c7bf4408ba58f9888c0d",
     "compare-table1": "96c1656d05f26ae3f4e8d802995fd798424cdfbcc53ebe3b0494e51d4a827a95",
     "compare-configs": "96c1656d05f26ae3f4e8d802995fd798424cdfbcc53ebe3b0494e51d4a827a95",
