@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 validation error, 3 infeasible
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -43,6 +44,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -1 and -1.5 for negative numbers; -1e-3, -inf
+        # and -nan are values too, left for the option's type to parse
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 

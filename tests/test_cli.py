@@ -238,6 +238,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: dt must be")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--dt", "-inf"], "error: dt must be finite and > 0"),
+        (["simulate", "--dt", "-1e-3"], "error: dt must be finite and > 0"),
+        (["simulate", "--dt", "-nan"], "error: dt must be finite and > 0"),
+        (["simulate", "--dt", "-Infinity"], "error: dt must be finite and > 0"),
+        (["simulate", "--initial-soc", "-1e-3"], "error: initial soc outside"),
+        (["profile", "synth", "--base", "-1e3"], "error: base_load must be >= 0"),
+    ], ids=["dt-inf", "dt-exponent", "dt-nan", "dt-infinity", "initial-soc-exponent",
+            "synth-base-exponent"])
+    def test_negative_value_as_its_own_argument(self, tmp_path, capsys, argv, message):
+        # argparse alone takes only -1 and -1.5 for numbers; -1e-3, -inf and
+        # -nan must reach the flag as its value, not be read as an option
+        if argv[0] == "simulate":
+            argv = [*argv, "--profile", str(flat_profile_file(tmp_path))]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
     def test_negative_flow_stride(self, tmp_path, capsys):
         profile = flat_profile_file(tmp_path)
         assert main(["simulate", "--profile", str(profile), "--flows", "-5"]) == 2
@@ -377,11 +396,16 @@ class TestExitCodes:
     def test_unwritable_out_path(self, tmp_path, capsys):
         assert main(["compare", "--table1", "--out", str(tmp_path)]) == 2
 
-    def test_help_exits_zero(self, capsys):
+    @pytest.mark.parametrize("argv, shows", [
+        (["--help"], "compare"),
+        (["-h"], "compare"),
+        (["profile", "synth", "-h"], "--mech-peak"),
+    ], ids=["long", "short", "nested-short"])
+    def test_help_exits_zero(self, capsys, argv, shows):
         with pytest.raises(SystemExit) as err:
-            main(["--help"])
+            main(argv)
         assert err.value.code == 0
-        assert "compare" in capsys.readouterr().out
+        assert shows in capsys.readouterr().out
 
 
 class TestInstalledScript:
