@@ -70,7 +70,7 @@ def _cmd_profile_synth(args) -> int:
         servo_efficiency=args.efficiency,
         duration=args.duration,
     )
-    profile = synthesize_walk_profile(params, step=args.step, name=args.name)
+    profile = synthesize_walk_profile(params, step=args.step)
     _write(emit_profile(profile), args.out)
     return 0
 
@@ -155,7 +155,6 @@ def build_parser() -> _Parser:
                        help="profile length, s")
     synth.add_argument("--step", type=float, default=None,
                        help="sample spacing, s (default period/50)")
-    synth.add_argument("--name", default="walk")
     synth.add_argument("--out", default=None, help="output path (default stdout)")
     synth.set_defaults(func=_cmd_profile_synth)
 

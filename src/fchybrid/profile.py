@@ -19,15 +19,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Union
 
 import numpy as np
 
 from .errors import ProfileParseError, ValidationError, require_finite
 
 CSV_HEADER = "time_s,power_w"
-
-ProfileSource = Union[str, Path, bytes, IO[str], IO[bytes]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +37,6 @@ class PowerProfile:
 
     times: np.ndarray  # s
     power: np.ndarray  # W
-    name: str = ""
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -65,11 +61,8 @@ class PowerProfile:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerProfile):
             return NotImplemented
-        return (
-            self.name == other.name
-            and np.array_equal(self.times, other.times)
-            and np.array_equal(self.power, other.power)
-        )
+        return (np.array_equal(self.times, other.times)
+                and np.array_equal(self.power, other.power))
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -135,8 +128,7 @@ class GaitParams:
 MAX_SYNTH_STEPS = 10_000_000
 
 
-def synthesize_walk_profile(params: GaitParams, step: float | None = None,
-                            name: str = "walk") -> PowerProfile:
+def synthesize_walk_profile(params: GaitParams, step: float | None = None) -> PowerProfile:
     """Sample the rectangular gait wave on a fixed grid.
 
     step defaults to gait_period / 50, which keeps per-cycle energy error
@@ -165,7 +157,7 @@ def synthesize_walk_profile(params: GaitParams, step: float | None = None,
     local = frac - cycle
     power = np.where(local < params.stride_duty - 1e-9,
                      params.stride_power, params.base_load)
-    return PowerProfile(times=times, power=power, name=name)
+    return PowerProfile(times=times, power=power)
 
 
 def profile_stats(profile: PowerProfile, idle_threshold: float | None = None) -> ProfileStats:
@@ -211,17 +203,6 @@ def emit_profile(profile: PowerProfile) -> str:
         parts.append("\n".join(["%.6g,%.6g" % pair for pair in pairs]))
     parts.append("")
     return "\n".join(parts)
-
-
-def _open_text(source: ProfileSource):
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig", newline=""), True
-    if isinstance(source, bytes):
-        return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig"), True
-    if isinstance(source, io.TextIOBase):
-        return source, False
-    # binary file object
-    return io.TextIOWrapper(source, encoding="utf-8-sig"), False
 
 
 def _read_header(stream) -> int:
@@ -281,38 +262,32 @@ def _scan_rows(stream, header_line: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(times), np.array(power)
 
 
-def load_profile(source: ProfileSource, name: str | None = None) -> PowerProfile:
-    """Parse profile CSV from a path, bytes, or open file.
+def load_profile(source: str | Path | bytes) -> PowerProfile:
+    """Parse profile CSV from a path or from bytes.
 
     Blank lines are skipped; the first other line must be the header.
     The rows go through np.loadtxt in one pass; only if it rejects them is
     the text read again line by line, which accepts what float() accepts
-    and names the first bad line. A stream that cannot seek is buffered
-    first. Raises ProfileParseError (with line number) for malformed rows
-    or text that is not UTF-8, and ValidationError for ordering or sign
-    violations.
+    and names the first bad line. Raises ProfileParseError (with line
+    number) for malformed rows or text that is not UTF-8, and
+    ValidationError for ordering or sign violations.
     """
-    stream, owned = _open_text(source)
-    try:
-        header_line = _read_header(stream)
-        rows = stream if stream.seekable() else io.StringIO(stream.read(), newline="")
-        start = rows.tell()
+    if isinstance(source, bytes):
+        stream = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig")
+    else:
+        stream = open(source, "r", encoding="utf-8-sig", newline="")
+    with stream:
         try:
-            times, power = _bulk_rows(rows)
-        except UnicodeDecodeError:
-            raise
-        except ValueError:
-            rows.seek(start)
-            times, power = _scan_rows(rows, header_line)
-    except UnicodeDecodeError as exc:
-        what = source if isinstance(source, (str, Path)) else "profile"
-        raise ProfileParseError(f"{what} is not UTF-8 text ({exc.reason})") from None
-    finally:
-        if owned:
-            stream.close()
-        elif stream is not source:
-            # a collected wrapper would close the caller's binary stream
-            stream.detach()
-    if name is None:
-        name = Path(source).stem if isinstance(source, (str, Path)) else ""
-    return PowerProfile(times=times, power=power, name=name)
+            header_line = _read_header(stream)
+            start = stream.tell()
+            try:
+                times, power = _bulk_rows(stream)
+            except UnicodeDecodeError:
+                raise
+            except ValueError:
+                stream.seek(start)
+                times, power = _scan_rows(stream, header_line)
+        except UnicodeDecodeError as exc:
+            what = "profile" if isinstance(source, bytes) else source
+            raise ProfileParseError(f"{what} is not UTF-8 text ({exc.reason})") from None
+    return PowerProfile(times=times, power=power)

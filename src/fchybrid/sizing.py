@@ -144,21 +144,7 @@ def supply_label(mode: str, chemistry: str = "") -> str:
     return "fuel cell hybrid" if mode == MODE_HYBRID else "fuel cell"
 
 
-def _reservoir_need_wh(profile: PowerProfile, steady: float) -> float:
-    """Worst sustained energy the battery must cover when demand runs
-    above the steady supply, Wh."""
-    dt = np.diff(profile.times) / 3600.0
-    surplus = profile.power[:-1] - steady
-    running = 0.0
-    worst = 0.0
-    for s, d in zip(surplus, dt):
-        running = max(0.0, running + s * d)
-        worst = max(worst, running)
-    return worst
-
-
-def size_hybrid(inputs: SizingInputs, *,
-                profile: PowerProfile | None = None) -> SizingResult:
+def size_hybrid(inputs: SizingInputs) -> SizingResult:
     """Allocate stack to the steady draw, battery to the peak, fuel last."""
     c = inputs.constants
     stack_mass = _to_gram(inputs.steady_power / c.stack_specific_power)
@@ -171,17 +157,9 @@ def size_hybrid(inputs: SizingInputs, *,
             f"stack, battery, and electronics need "
             f"{stack_mass + battery_mass + c.electronics_mass:.3f} kg, "
             f"over the {inputs.mass_budget:.3f} kg budget")
-        fuel_mass = 0.0
     fuel_mass = max(fuel_mass, 0.0)
     fuel_wh = fuel_mass * c.fuel_specific_energy
     run_time = fuel_wh / inputs.steady_power if inputs.steady_power > 0 else math.inf
-    if profile is not None:
-        need = _reservoir_need_wh(profile, inputs.steady_power)
-        usable = battery_mass * c.battery_specific_energy
-        if need > usable:
-            warnings.append(
-                f"profile needs {need:.1f} Wh of battery buffering, "
-                f"pack stores {usable:.1f} Wh")
     battery_wh = battery_mass * c.battery_specific_energy
     return SizingResult(
         mode=MODE_HYBRID,
@@ -216,7 +194,6 @@ def size_direct_fc(inputs: SizingInputs) -> SizingResult:
     feasible = fuel_mass >= -1e-12
     if not feasible:
         warnings.append(f"stack alone ({stack_mass:.3f} kg) exceeds the budget")
-        fuel_mass = 0.0
     fuel_mass = max(fuel_mass, 0.0)
     if rated < inputs.peak_power:
         warnings.append(

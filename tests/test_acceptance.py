@@ -77,7 +77,7 @@ def test_acceptance_4_oracle_equivalence(capsys):
         for load in loads:
             est = run_time_constant_load(cfg, load)
             profile = PowerProfile(times=np.array([0.0, 3600.0]),
-                                   power=np.array([load, load]), name="flat")
+                                   power=np.array([load, load]))
             res = simulate(cfg, profile, dt=dt, loop_profile=True)
             ok &= abs(res.run_time - est.hours) * 3600.0 <= dt + 1e-6
     elapsed = time.perf_counter() - started
@@ -136,8 +136,7 @@ def test_acceptance_6_dispatch_properties(capsys):
 def test_acceptance_7_peak_infeasibility(capsys):
     row = compare([presets.direct_fc_config()])[0]
     spike = PowerProfile(times=np.array([0.0, 10.0, 12.0, 60.0]),
-                         power=np.array([40.0, 250.0, 40.0, 40.0]),
-                         name="spike")
+                         power=np.array([40.0, 250.0, 40.0, 40.0]))
     res = simulate(presets.direct_fc_config(), spike, dt=0.1)
     ok = row.feasible_at_peak is False and res.unmet_energy > 0.0
     assert _report(capsys, 7, "direct supply peak infeasibility", ok)
@@ -146,7 +145,7 @@ def test_acceptance_7_peak_infeasibility(capsys):
 def test_acceptance_8_setpoint_optimizer(capsys):
     inputs = SizingInputs(mass_budget=1.2, steady_power=45.0, peak_power=250.0)
     flat = PowerProfile(times=np.array([0.0, 600.0]),
-                        power=np.array([45.0, 45.0]), name="flat")
+                        power=np.array([45.0, 45.0]))
     best, sized = optimize_setpoint(flat, inputs, dt=1.0)
     ok = abs(best - 45.0) <= 0.1 and sized.feasible
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 
 import fchybrid
 from fchybrid import presets
-from fchybrid.cli import main
+from fchybrid.cli import build_parser, main
 from test_config import supply_text
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -27,6 +28,13 @@ fuel cell hybrid,0.15,0.8,4950,26280,88,45,true
 
 def reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
+
+
+def subparser(parser, command):
+    """The parser that handles one subcommand of parser."""
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices[command]
 
 
 def flat_profile_file(tmp_path, power=45.0, duration=600.0):
@@ -52,6 +60,25 @@ class TestProfileCommands:
         text = capsys.readouterr().out
         assert text.startswith("time_s,power_w\n")
         assert text.endswith("\n")
+
+    # a valid value for each profile synth flag that differs from the one
+    # SYNTH_BASE gives it; a flag that no value changes the output of is dead
+    SYNTH_BASE = ["profile", "synth", "--duration", "2", "--mech-peak", "10"]
+    SYNTH_VALUES = {"--base": "30", "--period": "0.5", "--duty": "0.3",
+                    "--mech-peak": "20", "--efficiency": "0.8", "--duration": "3",
+                    "--step": "0.05"}
+
+    def test_every_synth_flag_changes_the_profile(self, capsys):
+        parser = build_parser()
+        synth = subparser(subparser(parser, "profile"), "synth")
+        flags = {action.option_strings[-1] for action in synth._actions
+                 if action.option_strings and action.dest not in ("help", "out")}
+        assert flags == set(self.SYNTH_VALUES)
+        assert main(self.SYNTH_BASE) == 0
+        base = capsys.readouterr().out
+        for flag, value in self.SYNTH_VALUES.items():
+            assert main([*self.SYNTH_BASE, flag, value]) == 0
+            assert capsys.readouterr().out != base, flag
 
     def test_stats_csv_format(self, tmp_path, capsys):
         profile = flat_profile_file(tmp_path)
@@ -223,6 +250,13 @@ class TestExitCodes:
 
     def test_missing_required_flag(self, capsys):
         assert main(["profile", "stats"]) == 1
+
+    def test_synth_has_no_name_flag(self, capsys):
+        # profiles carry no name, so there is none to set
+        assert main(["profile", "synth", "--duration", "2", "--name", "walk"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --name walk" in captured.err
 
     def test_bad_profile_csv(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

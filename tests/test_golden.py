@@ -86,15 +86,13 @@ def gait_profile():
 
 
 def flat_profile():
-    return PowerProfile(times=np.array([0.0, 120.0]), power=np.array([45.0, 45.0]),
-                        name="flat")
+    return PowerProfile(times=np.array([0.0, 120.0]), power=np.array([45.0, 45.0]))
 
 
 def spike_profile():
     # a 3 s spike inside the 5 s grace window, then an 8 s one beyond it
     return PowerProfile(times=np.array([0.0, 10.0, 13.0, 40.0, 48.0, 90.0]),
-                        power=np.array([40.0, 200.0, 40.0, 210.0, 42.0, 42.0]),
-                        name="spike")
+                        power=np.array([40.0, 200.0, 40.0, 210.0, 42.0, 42.0]))
 
 
 PROFILES = {"gait": (gait_profile, 0.02), "flat": (flat_profile, 0.5),
@@ -171,7 +169,7 @@ def long_trickle_run():
     cfg = presets.hybrid_config()
     cfg = replace(cfg, tank=replace(cfg.tank, fuel_mass=2.0))
     profile = PowerProfile(times=np.array([0.0, 50.0, 100.0]),
-                           power=np.array([45.0, 3e-5, 3e-5]), name="trickle")
+                           power=np.array([45.0, 3e-5, 3e-5]))
     return simulate(cfg, profile, dt=50.0, loop_profile=True, record_flows=True,
                     flow_stride=333)
 

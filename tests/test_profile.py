@@ -1,5 +1,3 @@
-import gc
-import io
 import math
 
 import numpy as np
@@ -19,9 +17,9 @@ from fchybrid.profile import (
 )
 
 
-def make(times, power, name=""):
+def make(times, power):
     return PowerProfile(times=np.asarray(times, dtype=float),
-                        power=np.asarray(power, dtype=float), name=name)
+                        power=np.asarray(power, dtype=float))
 
 
 class TestPowerProfile:
@@ -64,12 +62,10 @@ class TestPowerProfile:
             p.power[0] = 5.0
 
     def test_equality(self):
-        a = make([0.0, 1.0], [1.0, 2.0], name="a")
-        b = make([0.0, 1.0], [1.0, 2.0], name="a")
-        c = make([0.0, 1.0], [1.0, 3.0], name="a")
-        assert a == b
-        assert a != c
-        assert a != make([0.0, 1.0], [1.0, 2.0], name="b")
+        a = make([0.0, 1.0], [1.0, 2.0])
+        assert a == make([0.0, 1.0], [1.0, 2.0])
+        assert a != make([0.0, 1.0], [1.0, 3.0])
+        assert a != make([0.0, 2.0], [1.0, 2.0])
 
 
 class TestGaitParams:
@@ -233,7 +229,7 @@ class TestEmitLoad:
         # so the text round trip is bit-exact
         g = GaitParams(base_load=40.0, gait_period=1.0, stride_duty=0.5,
                        mech_peak=10.0, duration=1800.0)
-        p = synthesize_walk_profile(g, step=0.5, name="")
+        p = synthesize_walk_profile(g, step=0.5)
         q = load_profile(emit_profile(p).encode())
         assert q == p
 
@@ -245,42 +241,12 @@ class TestEmitLoad:
         twice = emit_profile(load_profile(once.encode()))
         assert once == twice
 
-    def test_load_from_path_uses_stem_as_name(self, tmp_path):
+    def test_load_from_path(self, tmp_path):
         path = tmp_path / "walk.csv"
         path.write_text(emit_profile(make([0.0, 1.0], [5.0, 5.0])))
         p = load_profile(path)
-        assert p.name == "walk"
+        assert p == make([0.0, 1.0], [5.0, 5.0])
         assert load_profile(str(path)) == p
-
-    def test_load_from_streams(self):
-        text = f"{CSV_HEADER}\n0,5\n1,6\n"
-        from_bytes = load_profile(text.encode())
-        from_text_io = load_profile(io.StringIO(text))
-        from_binary_io = load_profile(io.BytesIO(text.encode()))
-        assert from_bytes == from_text_io == from_binary_io
-        assert from_bytes.power[1] == 6.0
-
-    @pytest.mark.parametrize("rows, scanned", [(b"0,1\n1,2\n", 0), (b"0,1\n1_0,2\n", 1)],
-                             ids=["bulk", "line_scan"])
-    def test_caller_binary_stream_left_open(self, monkeypatch, rows, scanned):
-        # the text wrapper around a caller's binary stream must not close
-        # it when collected; 1_0 is a float() number np.loadtxt rejects
-        calls = []
-        scan_rows = profile_module._scan_rows
-
-        def counting_scan(*args):
-            calls.append(None)  # not the stream: a reference would keep it open
-            return scan_rows(*args)
-
-        monkeypatch.setattr(profile_module, "_scan_rows", counting_scan)
-        data = f"{CSV_HEADER}\n".encode() + rows
-        stream = io.BytesIO(data)
-        assert len(load_profile(stream)) == 2
-        assert len(calls) == scanned
-        gc.collect()
-        assert not stream.closed
-        stream.seek(0)
-        assert stream.read() == data
 
     def test_load_accepts_bom(self):
         text = f"﻿{CSV_HEADER}\n0,5\n1,6\n"
@@ -290,10 +256,6 @@ class TestEmitLoad:
     def test_blank_lines_skipped(self):
         text = f"{CSV_HEADER}\n0,5\n\n1,6\n\n"
         assert len(load_profile(text.encode())) == 2
-
-    def test_name_override(self):
-        p = load_profile(f"{CSV_HEADER}\n0,5\n1,6\n".encode(), name="custom")
-        assert p.name == "custom"
 
     def test_bad_header(self):
         with pytest.raises(ProfileParseError) as err:

@@ -46,7 +46,7 @@ def strict_json(text):
 
 def flat(power=45.0, duration=100.0):
     return PowerProfile(times=np.array([0.0, duration]),
-                        power=np.array([power, power]), name="flat")
+                        power=np.array([power, power]))
 
 
 class TestCompare:

@@ -64,7 +64,7 @@ def supply(mode, fuel_wh, capacity_wh, power_w, rated, setpoint, tau=1.0,
 
 def profile_of(times, power):
     return PowerProfile(times=np.array(times, dtype=float),
-                        power=np.array(power, dtype=float), name="drawn")
+                        power=np.array(power, dtype=float))
 
 
 @st.composite

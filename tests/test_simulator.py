@@ -40,14 +40,14 @@ from fchybrid.simulator import (
 )
 
 
-def flat(power, duration=3600.0, name="flat"):
+def flat(power, duration=3600.0):
     return PowerProfile(times=np.array([0.0, duration]),
-                        power=np.array([power, power]), name=name)
+                        power=np.array([power, power]))
 
 
-def steps(times, powers, name="steps"):
+def steps(times, powers):
     return PowerProfile(times=np.asarray(times, dtype=float),
-                        power=np.asarray(powers, dtype=float), name=name)
+                        power=np.asarray(powers, dtype=float))
 
 
 def small_battery(capacity_wh, power_w, soc_min=0.1):

@@ -39,7 +39,7 @@ REFINE = 0.1 * 1e-3  # the search's bisection width, 1e-4 W
 
 def flat_profile(power=45.0, duration=600.0):
     return PowerProfile(times=np.array([0.0, duration]),
-                        power=np.array([power, power]), name="flat")
+                        power=np.array([power, power]))
 
 
 @pytest.fixture
@@ -150,17 +150,6 @@ class TestSizeHybrid:
         for tight, roomy in zip(results, results[1:]):
             assert roomy.fuel_mass >= tight.fuel_mass
             assert roomy.run_time >= tight.run_time
-
-    def test_surge_beyond_pack_capacity_warns(self):
-        surge = flat_profile(power=250.0, duration=600.0)
-        r = size_hybrid(INPUTS, profile=surge)
-        assert r.feasible
-        assert any("buffering" in w for w in r.warnings)
-
-    def test_brief_surges_pass_quietly(self):
-        walk = synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=60.0))
-        r = size_hybrid(INPUTS, profile=walk)
-        assert r.warnings == []
 
 
 class TestSizeDirectFc:
@@ -382,8 +371,7 @@ class TestOptimizeSetpoint:
 
     def test_unservable_peak(self):
         spikes = PowerProfile(times=np.array([0.0, 10.0, 30.0]),
-                              power=np.array([45.0, 400.0, 400.0]),
-                              name="spikes")
+                              power=np.array([45.0, 400.0, 400.0]))
         with pytest.raises(InfeasibleError) as err:
             optimize_setpoint(spikes, INPUTS, dt=1.0)
         assert err.value.binding_constraint == "unmet_demand"
