@@ -247,7 +247,6 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     soc_initial = state.soc
     soc_low = soc_high = state.soc
     fuel_wh = fuel_energy(tank)
-    fuel_wh_initial = fuel_wh
 
     # bus-side demand of each held sample, and the time the next sample
     # starts, ending in an inf sentinel so the hold search needs no bound;
@@ -257,7 +256,8 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     next_l = profile.times[1:].tolist()
     next_l.append(math.inf)
 
-    delivered_bus = 0.0  # Wh
+    delivered_bus = 0.0  # Wh, counted from the sources
+    burned = 0.0
     unmet_bus = 0.0
     curtailed = 0.0
     fc_on_h = 0.0
@@ -341,6 +341,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
                                      state, fuel_wh, dt, t)
         fc_out = flow.fc_output
         if fc_out > 0.0:
+            burned += fc_out * dt_h
             fuel_wh -= fc_out * dt_h
             if fuel_wh < 0.0:
                 fuel_wh = 0.0
@@ -355,9 +356,10 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         else:
             off += 1
         unmet = flow.unmet
-        delivered_bus += (bus_demand - unmet) * dt_h
+        curt = flow.curtailed
+        delivered_bus += (fc_out + flow.battery_power - curt) * dt_h
         unmet_bus += unmet * dt_h
-        curtailed += flow.curtailed * dt_h
+        curtailed += curt * dt_h
         soc = state.soc
         if soc < soc_low:
             soc_low = soc
@@ -401,12 +403,11 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         life = fc_life(config.stack.cell_voltage, ripple, config.degradation)
         fc_damage = fc_on_h / life if life > 0.0 else math.inf
 
-    consumed_wh = fuel_wh_initial - fuel_wh
     se = tank.specific_energy_electric
     return SimulationResult(
         run_time=end_time_s / 3600.0,
         termination=termination,
-        fuel_consumed=consumed_wh / se if se > 0 else 0.0,
+        fuel_consumed=burned / se if se > 0 else 0.0,
         energy_delivered=delivered_bus * eta_conv,
         unmet_energy=unmet_bus * eta_conv,
         curtailed_energy=curtailed,

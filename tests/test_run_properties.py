@@ -148,10 +148,10 @@ HYBRID = presets.hybrid_config()
           profile_of([0.0, 1.0, 2.0], [0.0, -0.0, 30.0]), 0.1, True, None))
 @example((supply(MODE_DIRECT, 0.5, 0.0, 0.0, 90.0, 45.0),
           profile_of([0.0, 1.0, 2.0], [0.0, -0.0, 30.0]), 0.1, False, None))
-# a stack of 9e-57 W on a 1 W load: its output vanishes in demand - unmet
+# a stack of 9e-57 W on a 1 W load, whose output is below the last bit of the demand
 @example((supply(MODE_DIRECT, 7.7e-148, 0.0, 1.0, 9.3e-57, 0.0, soc_min=0.0),
           profile_of([0.0, 1.0], [1.0, 0.0]), 0.01, False, None))
-# 1.6e-198 W drawn from a 2.8e-6 Wh tank: each step's fuel vanishes in it
+# 1.6e-198 W drawn from a 2.8e-6 Wh tank, below the last bit of the tank
 @example((supply(MODE_HYBRID, 2.78e-6, 0.0, 1.0, 1.0, 1.0, soc_min=0.0),
           profile_of([0.0, 1.0], [1.6e-198, 0.0]), 0.01, False, None))
 # the hybrid preset's 6 Wh tank runs out on a step that delivers about 1 µW
@@ -185,13 +185,16 @@ def test_run_invariants(run):
         assert f.fc_output + f.battery_power - f.demand == f.curtailed - f.unmet
         assert min(f.unmet, f.curtailed) == 0.0
 
-    # bus-side closure, relative to the largest energy the run accounts
-    # for, stores included: a flow below the last bit of the demand or of
-    # the tank is lost to that sum, not to the run
+    # bus-side closure, relative to the energy the run's own flows carry,
+    # so a flow below the last bit of the demand or of the tank counts too
     eta = config.electronics.converter_efficiency
     fuel_wh = res.fuel_consumed * FUEL_WH_PER_KG
     sources = fuel_wh + res.battery_discharge - res.battery_charge
     sinks = res.energy_delivered / eta + res.curtailed_energy
+    flowed = math.fsum(f.fc_output + abs(f.battery_power) + f.curtailed
+                       for f in res.flows) * dt / 3600.0
+    assert abs(sources - sinks) <= 1e-9 * flowed
+    # and relative to the largest energy the run accounts for, stores included
     demanded = (res.energy_delivered + res.unmet_energy) / eta
     scale = max(fuel_energy(config.tank), config.battery.capacity_wh,
                 res.battery_discharge, res.battery_charge, sinks, demanded)
