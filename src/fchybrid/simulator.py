@@ -77,6 +77,8 @@ TERMINATIONS = (FUEL_EXHAUSTED, BATTERY_DEPLETED, PROFILE_ENDED, UNMET_DEMAND)
 # of demand for GRACE_S seconds
 GRACE_S = 5.0
 UNMET_FRACTION = 0.01
+# a looped run raises RuntimeError once it passes this many simulated hours
+MAX_HOURS = 1e6
 
 # fewest stored steps of stack output a looped run folds into its running
 # ripple statistics at once, so a short profile pays no numpy call per pass
@@ -160,8 +162,7 @@ def default_dt(profile: PowerProfile) -> float:
 
 def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = None,
              loop_profile: bool = False, *, initial_soc: float | None = None,
-             record_flows: bool = False, flow_stride: int = 100,
-             max_hours: float | None = None) -> SimulationResult:
+             record_flows: bool = False, flow_stride: int = 100) -> SimulationResult:
     """Step the configuration through the profile until it ends or dies.
 
     With loop_profile the profile repeats until the supply is exhausted.
@@ -198,12 +199,13 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     nothing is ever folded; once something is, the sum of block sums may
     differ from one numpy sum of the window in the last bits.
 
-    dt and max_hours must be finite and positive; anything else (NaN
-    included) raises ValidationError before the first step. A run that passes
-    max_hours (default 1e6 for looped runs, no limit otherwise) raises
-    RuntimeError. A looped profile whose held samples (all but the last,
-    which only closes the horizon) are all 0 W drains nothing, so no mode
-    can end it: that raises the same RuntimeError before the first step.
+    dt must be finite and positive; anything else (NaN included) raises
+    ValidationError before the first step. A looped run that passes the
+    max_hours horizon, MAX_HOURS of simulated time, raises RuntimeError;
+    a run that is not looped has no horizon. A looped profile whose held
+    samples (all but the last, which only closes the horizon) are all 0 W
+    drains nothing, so no mode can end it: that raises the same
+    RuntimeError before the first step.
     """
     if dt is None:
         dt = default_dt(profile)
@@ -211,10 +213,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         raise ValidationError("dt must be finite and > 0")
     if flow_stride < 1:
         raise ValidationError("flow_stride must be >= 1")
-    if max_hours is None:
-        max_hours = 1e6 if loop_profile else math.inf
-    elif not 0.0 < max_hours < math.inf:
-        raise ValidationError("max_hours must be finite and > 0")
+    max_hours = MAX_HOURS if loop_profile else math.inf
     limit_s = max_hours * 3600.0
     if loop_profile and not profile.power[:-1].any():
         raise RuntimeError(f"a looped 0 W profile never ends: it would pass the "

@@ -10,6 +10,7 @@ folds its stack output into running statistics."""
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import event, example, given, settings
@@ -37,6 +38,7 @@ from fchybrid.simulator import (
 
 RUN = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 # a looped run still going after this many steps passes its max_hours
+# horizon (simulator.MAX_HOURS), which each example lowers to match
 MAX_STEPS = 50_000
 FUEL_WH_PER_KG = 4950.0
 
@@ -167,18 +169,17 @@ def test_run_invariants(run):
         calls.append(fc_command)
         return dispatch_power(demand, fc_command, *args)
 
-    simulator.dispatch_power = counting_dispatch
+    # hypothesis rejects function-scoped fixtures such as monkeypatch
     try:
-        res = simulate(config, profile, dt=dt, loop_profile=looped,
-                       initial_soc=initial_soc, record_flows=True, flow_stride=1,
-                       max_hours=MAX_STEPS * dt / 3600.0 if looped else None)
+        with mock.patch.object(simulator, "dispatch_power", counting_dispatch), \
+                mock.patch.object(simulator, "MAX_HOURS", MAX_STEPS * dt / 3600.0):
+            res = simulate(config, profile, dt=dt, loop_profile=looped,
+                           initial_soc=initial_soc, record_flows=True, flow_stride=1)
     except RuntimeError as exc:  # a looped run that nothing ends
         event("passes max_hours" if calls else "raises before the first step")
         assert looped and "max_hours" in str(exc)
         assert calls == [] or len(calls) >= MAX_STEPS
         return
-    finally:
-        simulator.dispatch_power = dispatch_power
 
     assert res.steps == len(calls) == len(res.flows)
     for f in res.flows:

@@ -232,11 +232,11 @@ class TestTerminations:
         assert res.termination == ending
         assert res.steps == (GRACE_S if ending == UNMET_DEMAND else 60)
 
-    def test_max_hours_guard(self):
-        cfg = presets.hybrid_config()
-        with pytest.raises(RuntimeError):
-            simulate(cfg, flat(0.0, duration=60.0), dt=1.0,
-                     loop_profile=True, max_hours=0.001)
+    def test_max_hours_guard(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_HOURS", 0.001)
+        with pytest.raises(RuntimeError, match="max_hours"):
+            simulate(presets.hybrid_config(), flat(0.0, duration=60.0), dt=1.0,
+                     loop_profile=True)
 
     @pytest.mark.parametrize("make_config", [
         presets.hybrid_config, presets.direct_fc_config, presets.nimh_config],
@@ -256,7 +256,7 @@ class TestTerminations:
 
         monkeypatch.setattr(simulator, "dispatch_power", counting_dispatch)
         with pytest.raises(RuntimeError, match="max_hours"):
-            simulate(make_config(), profile, dt=1.0, loop_profile=True, max_hours=1.0)
+            simulate(make_config(), profile, dt=1.0, loop_profile=True)
         assert calls == []
 
     def test_zero_profile_run_once_ends_normally(self):
@@ -390,23 +390,15 @@ class TestStackLifeUnderflow:
 
 class TestInputValidation:
     """Non-finite or out-of-range run settings are rejected before the
-    first step; a NaN dt or horizon would otherwise loop forever."""
+    first step; a NaN dt would otherwise loop forever."""
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_dt(self, dt):
         with pytest.raises(ValidationError, match="dt"):
             simulate(presets.hybrid_config(), flat(45.0), dt=dt)
 
-    @pytest.mark.parametrize("loop", [False, True])
-    @pytest.mark.parametrize("max_hours", [math.nan, math.inf, 0.0, -1.0])
-    def test_max_hours(self, max_hours, loop):
-        with pytest.raises(ValidationError, match="max_hours"):
-            simulate(presets.hybrid_config(), flat(45.0), dt=1.0,
-                     loop_profile=loop, max_hours=max_hours)
-
     def test_range_ends_accepted(self):
-        res = simulate(presets.hybrid_config(), flat(45.0, duration=10.0), dt=1.0,
-                       max_hours=1.0)
+        res = simulate(presets.hybrid_config(), flat(45.0, duration=10.0), dt=1.0)
         assert res.termination == PROFILE_ENDED
         assert res.steps == 10
 
