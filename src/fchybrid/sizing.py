@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InfeasibleError, ValidationError, require_finite
 from .powertrain import BatterySpec, FuelCellStackSpec, FuelTankSpec, \
     ElectronicsSpec, fc_life
@@ -32,6 +30,7 @@ from .simulator import (
     MODE_DIRECT,
     MODE_HYBRID,
     SimulationResult,
+    default_dt,
     simulate,
 )
 from .controller import ControllerParams
@@ -41,7 +40,6 @@ _CELL_VOLTAGE = 0.8  # V, a hybrid stack's operating point
 _STACK_FACTOR = 2.0  # a direct stack over the steady-power stack
 _STRESS_VOLTAGE = 0.95  # V, the effective stress of an unbuffered stack
 _TOLERANCE = 0.1  # W, the setpoint search's first step
-_GRID_STEP = 0.5  # W, its fallback sweep
 
 
 def _to_gram(mass_kg: float) -> float:
@@ -324,6 +322,12 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     be sustained. The endurance estimate is the fuel horizon at that
     pass's average burn rate.
 
+    A supply over the mass budget fails on mass_budget before any
+    simulation, and so does one whose tank holds less than one stepped
+    pass at its effective setpoint, effective_setpoint * (duration + dt) /
+    3600 Wh (dt resolved as simulate resolves it): there the budget, not
+    the setpoint, runs short, and the pass would read as a drain.
+
     memo, when given, maps each supply to its settled pass and spares the
     two passes of a supply already simulated. The stack is sized to whole
     grams and simulate reads the setpoint only as the configuration's
@@ -338,12 +342,16 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     """
     if setpoint < 0:
         raise ValidationError("setpoint must be >= 0")
+    if dt is None:
+        dt = default_dt(profile)
     sized = size_hybrid(SizingInputs(inputs.mass_budget, setpoint,
                                      inputs.peak_power, inputs.constants))
-    if not sized.feasible:
+    config = config_from_sizing(sized, constants=inputs.constants)
+    fuel_wh = sized.fuel_mass * inputs.constants.fuel_specific_energy
+    if (not sized.feasible
+            or fuel_wh < config.effective_setpoint * (profile.duration + dt) / 3600.0):
         return SetpointEvaluation(setpoint, 0.0, 0.0, 0.0, 0.0, False,
                                   "mass_budget", sized)
-    config = config_from_sizing(sized, constants=inputs.constants)
     res = memo.get(config) if memo is not None else None
     if res is None:
         settle = simulate(config, profile, dt=dt)
@@ -353,7 +361,6 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     pass_h = res.run_time
     cap = config.battery.capacity_wh
     net_drain = (res.soc_initial - res.soc_final) * cap
-    fuel_wh = sized.fuel_mass * inputs.constants.fuel_specific_energy
     burn_rate = (res.fuel_consumed * inputs.constants.fuel_specific_energy
                  / pass_h) if pass_h > 0 else 0.0
     run_time = fuel_wh / burn_rate if burn_rate > 0 else math.inf
@@ -372,87 +379,56 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
                               net_drain, feasible, reason, sized)
 
 
-def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs,
-                      life_floor: float = 0.0, *, dt: float | None = None
-                      ) -> tuple[float, SizingResult]:
+def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs, *,
+                      dt: float | None = None) -> tuple[float, SizingResult]:
     """Pick the fuel-cell setpoint that maximizes endurance on the profile.
 
-    The optimum is the lowest feasible setpoint (one that meets demand,
-    sustains the battery and keeps the life floor): a sustained pass burns
-    the load whatever the setpoint, while every 1/stack_specific_power kg
-    of stack a higher setpoint needs is fuel the budget loses.
+    The optimum is the lowest feasible setpoint (one that meets demand and
+    sustains the battery): a sustained pass burns the load whatever the
+    setpoint, while every 1/stack_specific_power kg of stack a higher
+    setpoint needs is fuel the budget loses.
 
-    From the profile's average power, clamped to [0, peak_power], the
-    search steps down while the setpoint is feasible and up while it is
-    not, the first step 0.1 W and each later one twice the last, until a
-    feasible and an infeasible setpoint bracket the edge; it then bisects
-    the bracket to 1e-4 W and returns its feasible end. A feasible 0 W is
-    returned as it stands. Only if the walk reaches peak_power without a
-    feasible setpoint does a grid sweep at 0.5 W pick the longest-running
-    feasible one, whose lower edge is bisected the same way. Setpoints
-    that build the same supply share one memo of settled passes (see
-    evaluate_setpoint), so each supply is simulated once per search. Deterministic. Raises
-    InfeasibleError naming the binding constraint when no setpoint
-    satisfies demand, battery sustainability, and the life floor. A life
-    floor above the stack's zero-ripple life raises before any evaluation:
-    ripple and the battery's cycle horizon only lower a setpoint's life.
+    evaluate_setpoint sorts setpoints into three kinds, in this order from
+    0 W up: too low (the judged pass leaves demand unmet or drains the
+    battery), feasible, and over budget (mass_budget). From the profile's
+    average power, clamped to [0, peak_power], the search steps down while
+    the setpoint is not too low and up while it is, the first step 0.1 W
+    and each later one twice the last, until the two bracket the edge; it
+    then bisects the bracket to 1e-4 W. The upper end is returned if it is
+    feasible, a 0 W one as it stands. Setpoints that build the same supply
+    share one memo of settled passes (see evaluate_setpoint), so each
+    supply is simulated once per search. Deterministic. Raises
+    InfeasibleError naming the binding constraint: unmet_demand when every
+    setpoint up to peak_power is too low, mass_budget when the upper end
+    is over budget.
     """
-    bound = fc_life(_CELL_VOLTAGE)
-    if life_floor > bound:
-        raise InfeasibleError(
-            f"life floor {life_floor:g} h exceeds the stack's zero-ripple life "
-            f"{bound:g} h (binding: system_life)", binding_constraint="system_life")
     cache: dict[float, SetpointEvaluation] = {}
     memo: dict[HybridConfig, SimulationResult] = {}
-    reasons: set[str] = set()
 
-    def judge(x: float) -> tuple[float, SetpointEvaluation]:
+    def high_enough(x: float) -> bool:
         ev = cache.get(x)
         if ev is None:
-            ev = evaluate_setpoint(profile, inputs, x, dt=dt, memo=memo)
-            cache[x] = ev
-        if not ev.feasible:
-            reasons.add(ev.reason)
-            return -math.inf, ev
-        if ev.system_life < life_floor:
-            reasons.add("system_life")
-            return -math.inf, ev
-        return ev.run_time, ev
-
-    def feasible(x: float) -> bool:
-        return judge(x)[0] > -math.inf
+            ev = cache[x] = evaluate_setpoint(profile, inputs, x, dt=dt, memo=memo)
+        return ev.feasible or ev.reason == "mass_budget"
 
     peak = inputs.peak_power
     x = min(max(profile_stats(profile).average_power, 0.0), peak)
-    lo, hi = (None, x) if feasible(x) else (x, None)
+    lo, hi = (None, x) if high_enough(x) else (x, None)
     step = _TOLERANCE
     while (lo is None and hi > 0.0) or (hi is None and lo < peak):
         x = max(hi - step, 0.0) if lo is None else min(lo + step, peak)
-        lo, hi = (lo, x) if feasible(x) else (x, hi)
+        lo, hi = (lo, x) if high_enough(x) else (x, hi)
         step *= 2.0
 
-    if hi is None:
-        for x in np.arange(0.0, peak + _GRID_STEP / 2, _GRID_STEP):
-            judge(float(x))
-        hi = max(cache, key=lambda x: (judge(x)[0], -x))
-        if not feasible(hi):
-            # a candidate failing only the life floor was otherwise feasible,
-            # so that constraint is the binding one to report
-            if "system_life" in reasons:
-                binding = "system_life"
-            elif reasons & {"unmet_demand", "battery_drain"}:
-                binding = "unmet_demand"
-            else:
-                binding = "mass_budget"
-            raise InfeasibleError(
-                f"no setpoint in [0, {peak:g}] W satisfies the "
-                f"constraints (binding: {binding})", binding_constraint=binding)
-        lo = max((x for x in cache if x < hi and not feasible(x)), default=None)
-
-    refine = _TOLERANCE * 1e-3
-    while lo is not None and hi - lo > refine:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
-    incumbent = cache[hi]
-    assert incumbent.feasible and incumbent.system_life >= life_floor
-    return hi, incumbent.sizing
+    binding = "unmet_demand"
+    if hi is not None:
+        refine = _TOLERANCE * 1e-3
+        while lo is not None and hi - lo > refine:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if high_enough(mid) else (mid, hi)
+        if cache[hi].feasible:
+            return hi, cache[hi].sizing
+        binding = "mass_budget"
+    raise InfeasibleError(
+        f"no setpoint in [0, {peak:g}] W satisfies the "
+        f"constraints (binding: {binding})", binding_constraint=binding)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -324,6 +325,18 @@ class TestEvaluateSetpoint:
         assert not ev.feasible
         assert ev.reason == "mass_budget"
 
+    def test_tank_short_of_one_pass_is_over_budget(self, simulations):
+        # one pass is 600 s plus a 1 s step at 45 W, 7.51 Wh: 1 g of fuel
+        # (4.95 Wh) falls short of it, 2 g (9.9 Wh) carries it
+        short = evaluate_setpoint(flat_profile(45.0),
+                                  SizingInputs(0.401, 45.0, 250.0), 45.0, dt=1.0)
+        assert (short.feasible, short.reason) == (False, "mass_budget")
+        assert simulations == []
+        enough = evaluate_setpoint(flat_profile(45.0),
+                                   SizingInputs(0.402, 45.0, 250.0), 45.0, dt=1.0)
+        assert enough.feasible
+        assert len(simulations) == 2
+
     def test_negative_setpoint_rejected(self):
         with pytest.raises(ValidationError):
             evaluate_setpoint(flat_profile(45.0), INPUTS, -1.0)
@@ -359,27 +372,27 @@ class TestOptimizeSetpoint:
         assert a[0] == b[0]
         assert a[1] == b[1]
 
-    def test_unreachable_life_floor(self, evaluations):
-        for floor in (math.inf, math.nextafter(fc_life(0.8), math.inf)):
-            with pytest.raises(InfeasibleError) as err:
-                optimize_setpoint(flat_profile(45.0), INPUTS,
-                                  life_floor=floor, dt=1.0)
-            assert err.value.binding_constraint == "system_life"
-        # no setpoint's life exceeds the stack's at zero ripple, so the
-        # search proves the floor out of reach without simulating
-        assert evaluations == []
-
-    def test_unservable_peak(self):
+    def test_unservable_peak(self, evaluations):
         spikes = PowerProfile(times=np.array([0.0, 10.0, 30.0]),
                               power=np.array([45.0, 400.0, 400.0]))
         with pytest.raises(InfeasibleError) as err:
             optimize_setpoint(spikes, INPUTS, dt=1.0)
         assert err.value.binding_constraint == "unmet_demand"
+        assert len(evaluations) <= 16
 
-    def test_impossible_budget(self):
+    def test_impossible_budget(self, evaluations):
         with pytest.raises(InfeasibleError) as err:
             optimize_setpoint(flat_profile(45.0),
                               SizingInputs(0.2, 45.0, 250.0), dt=1.0)
+        assert err.value.binding_constraint == "mass_budget"
+        assert len(evaluations) <= 16
+
+    def test_budget_short_of_the_demanded_stack(self):
+        # 0.3 kg leaves 0.05 kg of stack, rated 15 W, for a 45 W load: the
+        # setpoints below 15 W drain the pack, but the budget is what binds
+        with pytest.raises(InfeasibleError) as err:
+            optimize_setpoint(flat_profile(45.0),
+                              SizingInputs(0.3, 45.0, 250.0), dt=1.0)
         assert err.value.binding_constraint == "mass_budget"
 
     @pytest.mark.parametrize("profile, dt", [
@@ -419,6 +432,36 @@ class TestOptimizeSetpoint:
         best, sized = optimize_setpoint(flat_profile(load), INPUTS, dt=1.0)
         assert sized.feasible
         assert abs(best - lowest_servable_setpoint(load)) <= 1e-3
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(base=st.floats(min_value=10.0, max_value=60.0),
+           mech_peak=st.floats(min_value=0.0, max_value=30.0),
+           duty=st.floats(min_value=0.1, max_value=1.0),
+           stack_g=st.integers(min_value=30, max_value=400),
+           fuel_g=st.integers(min_value=0, max_value=30),
+           peak=st.sampled_from([100.0, 150.0, 250.0]))
+    # a budget whose largest stack, rated 60 W, leaves no fuel: the
+    # setpoints that build it used to drain the pack above feasible ones
+    @example(base=40.0, mech_peak=10.0, duty=0.6, stack_g=200, fuel_g=0, peak=250.0)
+    def test_setpoint_kinds_are_ordered(self, base, mech_peak, duty, stack_g,
+                                        fuel_g, peak):
+        """From 0 W up, setpoints read too low (L), feasible (o), then over
+        budget (H), the order the search's bracket relies on."""
+        gait = synthesize_walk_profile(GaitParams(
+            base_load=base, mech_peak=mech_peak, stride_duty=duty, duration=20.0))
+        fixed = size_hybrid(SizingInputs(1.0, 0.0, peak))
+        inputs = SizingInputs((stack_g + fuel_g) / 1000.0 + fixed.battery_mass
+                              + fixed.electronics_mass, 0.0, peak)
+        rated = stack_g / 1000.0 * inputs.constants.stack_specific_power
+        setpoints = sorted({*np.linspace(0.0, peak, 16).tolist(),
+                            *(min(max(rated + 0.05 * k, 0.0), peak)
+                              for k in range(-7, 7))})
+        memo = {}
+        kinds = ""
+        for x in setpoints:
+            ev = evaluate_setpoint(gait, inputs, x, dt=0.1, memo=memo)
+            kinds += "o" if ev.feasible else "H" if ev.reason == "mass_budget" else "L"
+        assert re.fullmatch("L*o*H*", kinds), kinds
 
 
 GAIT_10 = synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=60.0))
