@@ -324,9 +324,8 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
 
     A supply over the mass budget fails on mass_budget before any
     simulation, and so does one whose tank holds less than one stepped
-    pass at its effective setpoint, effective_setpoint * (duration + dt) /
-    3600 Wh (dt resolved as simulate resolves it): there the budget, not
-    the setpoint, runs short, and the pass would read as a drain.
+    pass at its effective setpoint: there the budget, not the setpoint,
+    runs short, and the pass would read as a drain.
 
     memo, when given, maps each supply to its settled pass and spares the
     two passes of a supply already simulated. The stack is sized to whole
@@ -388,19 +387,19 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs, *,
     setpoint, while every 1/stack_specific_power kg of stack a higher
     setpoint needs is fuel the budget loses.
 
-    evaluate_setpoint sorts setpoints into three kinds, in this order from
-    0 W up: too low (the judged pass leaves demand unmet or drains the
-    battery), feasible, and over budget (mass_budget). From the profile's
-    average power, clamped to [0, peak_power], the search steps down while
-    the setpoint is not too low and up while it is, the first step 0.1 W
-    and each later one twice the last, until the two bracket the edge; it
-    then bisects the bracket to 1e-4 W. The upper end is returned if it is
-    feasible, a 0 W one as it stands. Setpoints that build the same supply
-    share one memo of settled passes (see evaluate_setpoint), so each
-    supply is simulated once per search. Deterministic. Raises
-    InfeasibleError naming the binding constraint: unmet_demand when every
-    setpoint up to peak_power is too low, mass_budget when the upper end
-    is over budget.
+    evaluate_setpoint sorts setpoints into three kinds, taken to lie in
+    this order from 0 W up: too low (the judged pass leaves demand unmet
+    or drains the battery), feasible, and over budget (mass_budget). From
+    the profile's average power, clamped to [0, peak_power], the search
+    steps down while the setpoint is not too low and up while it is, the
+    first step 0.1 W and each later one twice the last, until the two
+    bracket the edge; it then bisects the bracket to 1e-4 W. The upper end
+    is returned if it is feasible, and so is 0 W when no setpoint is too
+    low. Setpoints that build the same supply share one memo of settled
+    passes (see evaluate_setpoint), so each supply is simulated once per
+    search. Deterministic. Raises InfeasibleError naming the binding
+    constraint: unmet_demand when every setpoint up to peak_power is too
+    low, mass_budget when the upper end is over budget.
     """
     cache: dict[float, SetpointEvaluation] = {}
     memo: dict[HybridConfig, SimulationResult] = {}

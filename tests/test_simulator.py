@@ -233,9 +233,11 @@ class TestTerminations:
         assert res.steps == (GRACE_S if ending == UNMET_DEMAND else 60)
 
     def test_max_hours_guard(self, monkeypatch):
+        # 1 W would take the preset's 0.8 kg of fuel about 4,000 h; the
+        # horizon, lowered to 3.6 s, stops it on its fifth step
         monkeypatch.setattr(simulator, "MAX_HOURS", 0.001)
         with pytest.raises(RuntimeError, match="max_hours"):
-            simulate(presets.hybrid_config(), flat(0.0, duration=60.0), dt=1.0,
+            simulate(presets.hybrid_config(), flat(1.0, duration=60.0), dt=1.0,
                      loop_profile=True)
 
     @pytest.mark.parametrize("make_config", [
