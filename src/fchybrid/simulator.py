@@ -199,13 +199,12 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     nothing is ever folded; once something is, the sum of block sums may
     differ from one numpy sum of the window in the last bits.
 
-    dt must be finite and positive; anything else (NaN included) raises
-    ValidationError before the first step. A looped run that passes the
-    max_hours horizon, MAX_HOURS of simulated time, raises RuntimeError;
-    a run that is not looped has no horizon. A looped profile whose held
-    samples (all but the last, which only closes the horizon) are all 0 W
-    drains nothing, so no mode can end it: that raises the same
-    RuntimeError before the first step.
+    dt and the max_hours horizon MAX_HOURS must be finite and positive, or
+    ValidationError is raised before the first step. A looped run past
+    MAX_HOURS of simulated time raises RuntimeError; a run that is not
+    looped has no horizon. A looped profile whose held samples (all but the
+    last, which only closes the horizon) are all 0 W drains nothing, so no
+    mode can end it: that raises the same RuntimeError before the first step.
     """
     if dt is None:
         dt = default_dt(profile)
@@ -213,11 +212,12 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         raise ValidationError("dt must be finite and > 0")
     if flow_stride < 1:
         raise ValidationError("flow_stride must be >= 1")
-    max_hours = MAX_HOURS if loop_profile else math.inf
-    limit_s = max_hours * 3600.0
+    if not 0.0 < MAX_HOURS < math.inf:
+        raise ValidationError("max_hours must be finite and > 0")
+    limit_s = MAX_HOURS * 3600.0 if loop_profile else math.inf
     if loop_profile and not profile.power[:-1].any():
         raise RuntimeError(f"a looped 0 W profile never ends: it would pass the "
-                           f"max_hours safety horizon ({max_hours:g} h)")
+                           f"max_hours safety horizon ({MAX_HOURS:g} h)")
 
     battery = config.battery
     tank = config.tank
@@ -304,7 +304,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
             local = t
         if t > limit_s:
             raise RuntimeError(
-                f"simulation exceeded max_hours safety horizon ({max_hours:g} h)")
+                f"simulation exceeded max_hours safety horizon ({MAX_HOURS:g} h)")
         hold = local + 1e-12
         while next_l[idx] <= hold:
             idx += 1

@@ -392,12 +392,19 @@ class TestStackLifeUnderflow:
 
 class TestInputValidation:
     """Non-finite or out-of-range run settings are rejected before the
-    first step; a NaN dt would otherwise loop forever."""
+    first step; a NaN dt or horizon would otherwise loop forever."""
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_dt(self, dt):
         with pytest.raises(ValidationError, match="dt"):
             simulate(presets.hybrid_config(), flat(45.0), dt=dt)
+
+    @pytest.mark.parametrize("loop", [False, True])
+    @pytest.mark.parametrize("max_hours", [math.nan, math.inf, 0.0, -1.0])
+    def test_max_hours(self, max_hours, loop, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_HOURS", max_hours)
+        with pytest.raises(ValidationError, match="max_hours"):
+            simulate(presets.hybrid_config(), flat(45.0), dt=1.0, loop_profile=loop)
 
     def test_range_ends_accepted(self):
         res = simulate(presets.hybrid_config(), flat(45.0, duration=10.0), dt=1.0)
