@@ -40,6 +40,7 @@ _CELL_VOLTAGE = 0.8  # V, a hybrid stack's operating point
 _STACK_FACTOR = 2.0  # a direct stack over the steady-power stack
 _STRESS_VOLTAGE = 0.95  # V, the effective stress of an unbuffered stack
 _TOLERANCE = 0.1  # W, the setpoint search's first step
+_GRID_STEP = 0.5  # W, its fallback sweep
 
 
 def _to_gram(mass_kg: float) -> float:
@@ -324,8 +325,11 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
 
     A supply over the mass budget fails on mass_budget before any
     simulation, and so does one whose tank holds less than one stepped
-    pass at its effective setpoint: there the budget, not the setpoint,
-    runs short, and the pass would read as a drain.
+    pass (the profile's duration plus at most one step) at its effective
+    setpoint: there the budget, not the setpoint, runs short, and the
+    pass would read as a drain. That fuel rule is a conservative bound: a
+    stack above the load throttles to it, so some supplies it fails would
+    carry the pass on the fuel they have.
 
     memo, when given, maps each supply to its settled pass and spares the
     two passes of a supply already simulated. The stack is sized to whole
@@ -387,47 +391,61 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs, *,
     setpoint, while every 1/stack_specific_power kg of stack a higher
     setpoint needs is fuel the budget loses.
 
-    evaluate_setpoint sorts setpoints into three kinds, taken to lie in
-    this order from 0 W up: too low (the judged pass leaves demand unmet
-    or drains the battery), feasible, and over budget (mass_budget). From
-    the profile's average power, clamped to [0, peak_power], the search
-    steps down while the setpoint is not too low and up while it is, the
-    first step 0.1 W and each later one twice the last, until the two
-    bracket the edge; it then bisects the bracket to 1e-4 W. The upper end
-    is returned if it is feasible, and so is 0 W when no setpoint is too
-    low. Setpoints that build the same supply share one memo of settled
-    passes (see evaluate_setpoint), so each supply is simulated once per
-    search. Deterministic. Raises InfeasibleError naming the binding
-    constraint: unmet_demand when every setpoint up to peak_power is too
-    low, mass_budget when the upper end is over budget.
+    From the profile's average power, clamped to [0, peak_power], the
+    search steps down while the setpoint is feasible and up while it is
+    not, the first step 0.1 W and each later one twice the last, until a
+    feasible and an infeasible setpoint bracket the edge; it then bisects
+    the bracket to 1e-4 W and returns its feasible end. A feasible 0 W is
+    returned as it stands. If the walk finds no feasible setpoint, a grid
+    sweep at 0.5 W picks the longest-running feasible one, whose lower
+    edge is bisected the same way: evaluate_setpoint's one-pass drain
+    test is not monotone near balance, so feasible setpoints can lie
+    between and above drained ones the walk visited. A setpoint over the
+    mass budget (see evaluate_setpoint) has every higher one over it too,
+    so neither the walk nor the sweep goes past the first. Setpoints that
+    build the same supply share one memo of settled passes (see
+    evaluate_setpoint), so each supply is simulated once per search.
+    Deterministic. Raises InfeasibleError naming the binding constraint:
+    unmet_demand when every setpoint up to peak_power leaves demand unmet
+    or drains the battery, otherwise mass_budget.
     """
     cache: dict[float, SetpointEvaluation] = {}
     memo: dict[HybridConfig, SimulationResult] = {}
 
-    def high_enough(x: float) -> bool:
-        ev = cache.get(x)
-        if ev is None:
-            ev = cache[x] = evaluate_setpoint(profile, inputs, x, dt=dt, memo=memo)
-        return ev.feasible or ev.reason == "mass_budget"
+    def judge(x: float) -> SetpointEvaluation:
+        if x not in cache:
+            cache[x] = evaluate_setpoint(profile, inputs, x, dt=dt, memo=memo)
+        return cache[x]
 
     peak = inputs.peak_power
     x = min(max(profile_stats(profile).average_power, 0.0), peak)
-    lo, hi = (None, x) if high_enough(x) else (x, None)
+    lo, hi = (None, x) if judge(x).feasible else (x, None)
     step = _TOLERANCE
-    while (lo is None and hi > 0.0) or (hi is None and lo < peak):
+    while (lo is None and hi > 0.0) or (
+            hi is None and lo < peak and judge(lo).reason != "mass_budget"):
         x = max(hi - step, 0.0) if lo is None else min(lo + step, peak)
-        lo, hi = (lo, x) if high_enough(x) else (x, hi)
+        lo, hi = (lo, x) if judge(x).feasible else (x, hi)
         step *= 2.0
 
-    binding = "unmet_demand"
-    if hi is not None:
-        refine = _TOLERANCE * 1e-3
-        while lo is not None and hi - lo > refine:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if high_enough(mid) else (mid, hi)
-        if cache[hi].feasible:
-            return hi, cache[hi].sizing
-        binding = "mass_budget"
-    raise InfeasibleError(
-        f"no setpoint in [0, {peak:g}] W satisfies the "
-        f"constraints (binding: {binding})", binding_constraint=binding)
+    if hi is None:
+        k = 0
+        while (k * _GRID_STEP <= peak
+               and judge(k * _GRID_STEP).reason != "mass_budget"):
+            k += 1
+        found = [x for x, ev in cache.items() if ev.feasible]
+        if not found:
+            binding = ("mass_budget" if any(ev.reason == "mass_budget"
+                                            for ev in cache.values())
+                       else "unmet_demand")
+            raise InfeasibleError(
+                f"no setpoint in [0, {peak:g}] W satisfies the "
+                f"constraints (binding: {binding})", binding_constraint=binding)
+        hi = max(found, key=lambda x: (cache[x].run_time, -x))
+        lo = max((x for x, ev in cache.items() if x < hi and not ev.feasible),
+                 default=None)
+
+    refine = _TOLERANCE * 1e-3
+    while lo is not None and hi - lo > refine:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if judge(mid).feasible else (mid, hi)
+    return hi, cache[hi].sizing
