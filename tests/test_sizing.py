@@ -451,7 +451,7 @@ class TestOptimizeSetpoint:
         assert sized.feasible
         assert abs(best - lowest_servable_setpoint(load)) <= 1e-3
 
-    def test_sweep_finds_what_the_walk_steps_over(self, evaluations):
+    def test_sweep_finds_what_the_walk_steps_over(self):
         # near balance the one-pass drain test flickers: 46.77 W is
         # feasible, 46.8-46.98 W drain by 4e-5 Wh (the tolerance is
         # 2.25e-6 Wh), 47.0 W is feasible and 47.08 W drains again. The
