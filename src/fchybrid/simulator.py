@@ -79,6 +79,8 @@ GRACE_S = 5.0
 UNMET_FRACTION = 0.01
 # a looped run raises RuntimeError once it passes this many simulated hours
 MAX_HOURS = 1e6
+# dt must cut one pass of the profile into at most this many steps
+MAX_PASS_STEPS = 10**8
 
 # fewest stored steps of stack output a looped run folds into its running
 # ripple statistics at once, so a short profile pays no numpy call per pass
@@ -199,7 +201,8 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     nothing is ever folded; once something is, the sum of block sums may
     differ from one numpy sum of the window in the last bits.
 
-    dt and the max_hours horizon MAX_HOURS must be finite and positive, or
+    dt and the max_hours horizon MAX_HOURS must be finite and positive, and
+    one pass of the profile at dt at most MAX_PASS_STEPS steps, or
     ValidationError is raised before the first step. A looped run past
     MAX_HOURS of simulated time raises RuntimeError; a run that is not
     looped has no horizon. A looped profile whose held samples (all but the
@@ -210,6 +213,10 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         dt = default_dt(profile)
     if not 0.0 < dt < math.inf:
         raise ValidationError("dt must be finite and > 0")
+    if profile.duration / dt > MAX_PASS_STEPS:
+        raise ValidationError(
+            f"dt must be >= {profile.duration / MAX_PASS_STEPS:g} s: one pass "
+            f"of the profile may take at most {MAX_PASS_STEPS:g} steps")
     if flow_stride < 1:
         raise ValidationError("flow_stride must be >= 1")
     if not 0.0 < MAX_HOURS < math.inf:

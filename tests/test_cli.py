@@ -272,6 +272,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: dt must be")
 
+    @pytest.mark.parametrize("loop", [[], ["--loop"]])
+    def test_dt_too_fine_for_one_pass(self, tmp_path, capsys, loop):
+        # 10 s at 1e-300 s a step is 1e301 steps a pass: refused, not run
+        profile = flat_profile_file(tmp_path, duration=10.0)
+        argv = ["simulate", "--profile", str(profile), "--dt", "1e-300", *loop]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: dt must be")
+
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--dt", "-inf"], "error: dt must be finite and > 0"),
         (["simulate", "--dt", "-1e-3"], "error: dt must be finite and > 0"),

@@ -406,6 +406,22 @@ class TestInputValidation:
         with pytest.raises(ValidationError, match="max_hours"):
             simulate(presets.hybrid_config(), flat(45.0), dt=1.0, loop_profile=loop)
 
+    @pytest.mark.parametrize("loop", [False, True])
+    @pytest.mark.parametrize("dt", [1e-300, 5e-324, 1e-8])
+    def test_pass_of_too_many_steps(self, dt, loop):
+        # a 10 s pass at 1e-300 s would take 1e301 steps; more than
+        # MAX_PASS_STEPS (1e8) is refused before the first one
+        with pytest.raises(ValidationError, match="dt"):
+            simulate(presets.hybrid_config(), flat(45.0, duration=10.0), dt=dt,
+                     loop_profile=loop)
+
+    def test_pass_steps_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_PASS_STEPS", 10)
+        profile = flat(45.0, duration=10.0)
+        assert simulate(presets.hybrid_config(), profile, dt=1.0).steps == 10
+        with pytest.raises(ValidationError, match="dt"):
+            simulate(presets.hybrid_config(), profile, dt=10.0 / 11.0)
+
     def test_range_ends_accepted(self):
         res = simulate(presets.hybrid_config(), flat(45.0, duration=10.0), dt=1.0)
         assert res.termination == PROFILE_ENDED

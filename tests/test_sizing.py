@@ -354,6 +354,10 @@ class TestEvaluateSetpoint:
         assert judged.soc_final == judged.soc_initial
         assert judged.fuel_consumed < ev.sizing.fuel_mass
 
+    def test_dt_too_fine_for_one_pass(self):
+        with pytest.raises(ValidationError, match="dt"):
+            evaluate_setpoint(flat_profile(45.0), INPUTS, 45.0, dt=1e-300)
+
     def test_negative_setpoint_rejected(self):
         with pytest.raises(ValidationError):
             evaluate_setpoint(flat_profile(45.0), INPUTS, -1.0)
