@@ -40,7 +40,6 @@ _CELL_VOLTAGE = 0.8  # V, a hybrid stack's operating point
 _STACK_FACTOR = 2.0  # a direct stack over the steady-power stack
 _STRESS_VOLTAGE = 0.95  # V, the effective stress of an unbuffered stack
 _TOLERANCE = 0.1  # W, the setpoint search's first step
-_GRID_STEP = 0.5  # W, its fallback sweep
 
 
 def _to_gram(mass_kg: float) -> float:
@@ -316,18 +315,23 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
                       ) -> SetpointEvaluation:
     """Size a hybrid for the given setpoint and judge one settled pass.
 
+    The reason names the setpoint's kind: too low ("unmet_demand" or
+    "battery_drain"), feasible ("") or over budget ("mass_budget"). From
+    0 W up the three kinds read in that order.
+
     The profile is treated as periodic. A first pass absorbs the filter
     and charge transients of starting from a full pack; the second pass,
     started from the settled state, must meet demand with zero unmet
-    energy and must not net-drain the battery, otherwise the loop cannot
-    be sustained. The endurance estimate is the fuel horizon at that
-    pass's average burn rate.
+    energy and must not net-drain the battery, unless it filled the pack
+    to soc_max: from there on the pass no longer depends on where it
+    began, so the orbit is anchored at the top. The endurance estimate is
+    the fuel horizon at that pass's average burn rate.
 
     A supply over the mass budget fails on mass_budget before any
     simulation, and so does one whose tank holds less than one stepped
     pass (the profile's duration plus at most one step) at its effective
-    setpoint: there the budget, not the setpoint, runs short, and the
-    pass would read as a drain. That fuel rule is a conservative bound: a
+    setpoint: there the budget, not the setpoint, runs short. Both only
+    grow with the setpoint. That fuel rule is a conservative bound: a
     stack above the load throttles to it, so some supplies it fails would
     carry the pass on the fuel they have.
 
@@ -370,11 +374,11 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     life = system_life(config, run_time=pass_h, battery_cycles=res.battery_cycles,
                        ripple=res.ripple)
     # the settled orbit can straddle the pass boundary by a few ppm of
-    # capacity; anything larger is a genuine sustained drain
+    # capacity; a larger drain is genuine unless the pass filled the pack
     drain_tol = max(1e-6 * cap, 1e-9)
     if res.unmet_energy > 1e-9:
         feasible, reason = False, "unmet_demand"
-    elif net_drain > drain_tol:
+    elif net_drain > drain_tol and res.soc_high < config.battery.soc_max:
         feasible, reason = False, "battery_drain"
     else:
         feasible, reason = True, ""
@@ -386,28 +390,24 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs, *,
                       dt: float | None = None) -> tuple[float, SizingResult]:
     """Pick the fuel-cell setpoint that maximizes endurance on the profile.
 
-    The optimum is the lowest feasible setpoint (one that meets demand and
-    sustains the battery): a sustained pass burns the load whatever the
-    setpoint, while every 1/stack_specific_power kg of stack a higher
-    setpoint needs is fuel the budget loses.
+    From 0 W up, setpoints are too low (L), feasible (o), then over budget
+    (H), in that order (see evaluate_setpoint). The optimum is the lowest
+    feasible one: a sustained pass burns the load whatever the setpoint,
+    while every 1/stack_specific_power kg of stack a higher setpoint needs
+    is fuel the budget loses.
 
     From the profile's average power, clamped to [0, peak_power], the
     search steps down while the setpoint is feasible and up while it is
-    not, the first step 0.1 W and each later one twice the last, until a
-    feasible and an infeasible setpoint bracket the edge; it then bisects
-    the bracket to 1e-4 W and returns its feasible end. A feasible 0 W is
-    returned as it stands. If the walk finds no feasible setpoint, a grid
-    sweep at 0.5 W picks the longest-running feasible one, whose lower
-    edge is bisected the same way: evaluate_setpoint's one-pass drain
-    test is not monotone near balance, so feasible setpoints can lie
-    between and above drained ones the walk visited. A setpoint over the
-    mass budget (see evaluate_setpoint) has every higher one over it too,
-    so neither the walk nor the sweep goes past the first. Setpoints that
-    build the same supply share one memo of settled passes (see
-    evaluate_setpoint), so each supply is simulated once per search.
-    Deterministic. Raises InfeasibleError naming the binding constraint:
-    unmet_demand when every setpoint up to peak_power leaves demand unmet
-    or drains the battery, otherwise mass_budget.
+    too low, the first step 0.1 W and each later one twice the last, until
+    it brackets the edge of L and o; it then bisects the bracket to 1e-4 W
+    and returns its feasible end. A feasible 0 W is returned as it stands.
+    The walk up stops at peak_power or at the first over-budget setpoint,
+    so it steps over a feasible band narrower than its last step there.
+    Setpoints that build the same supply share one memo of settled passes
+    (see evaluate_setpoint), so each supply is simulated once per search.
+    Deterministic. If the walk ends without a feasible setpoint, raises
+    InfeasibleError naming the binding constraint: mass_budget if it
+    stopped over budget, otherwise unmet_demand.
     """
     cache: dict[float, SetpointEvaluation] = {}
     memo: dict[HybridConfig, SimulationResult] = {}
@@ -428,21 +428,11 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs, *,
         step *= 2.0
 
     if hi is None:
-        k = 0
-        while (k * _GRID_STEP <= peak
-               and judge(k * _GRID_STEP).reason != "mass_budget"):
-            k += 1
-        found = [x for x, ev in cache.items() if ev.feasible]
-        if not found:
-            binding = ("mass_budget" if any(ev.reason == "mass_budget"
-                                            for ev in cache.values())
-                       else "unmet_demand")
-            raise InfeasibleError(
-                f"no setpoint in [0, {peak:g}] W satisfies the "
-                f"constraints (binding: {binding})", binding_constraint=binding)
-        hi = max(found, key=lambda x: (cache[x].run_time, -x))
-        lo = max((x for x, ev in cache.items() if x < hi and not ev.feasible),
-                 default=None)
+        binding = ("mass_budget" if judge(lo).reason == "mass_budget"
+                   else "unmet_demand")
+        raise InfeasibleError(
+            f"no setpoint in [0, {peak:g}] W satisfies the "
+            f"constraints (binding: {binding})", binding_constraint=binding)
 
     refine = _TOLERANCE * 1e-3
     while lo is not None and hi - lo > refine:

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from fchybrid import presets, sizing
 from fchybrid.errors import InfeasibleError, ValidationError
 from fchybrid.powertrain import fc_life
-from fchybrid.profile import GaitParams, PowerProfile, synthesize_walk_profile
+from fchybrid.profile import (
+    GaitParams,
+    PowerProfile,
+    profile_stats,
+    synthesize_walk_profile,
+)
 from fchybrid.report import compare
 from fchybrid.simulator import (
     MODE_BATTERY,
@@ -393,21 +398,22 @@ class TestOptimizeSetpoint:
         assert a[0] == b[0]
         assert a[1] == b[1]
 
-    def test_unservable_peak(self):
+    def test_unservable_peak(self, evaluations):
         spikes = PowerProfile(times=np.array([0.0, 10.0, 30.0]),
                               power=np.array([45.0, 400.0, 400.0]))
         with pytest.raises(InfeasibleError) as err:
             optimize_setpoint(spikes, INPUTS, dt=1.0)
         assert err.value.binding_constraint == "unmet_demand"
+        assert len(evaluations) <= 16
 
     def test_impossible_budget(self, evaluations):
         with pytest.raises(InfeasibleError) as err:
             optimize_setpoint(flat_profile(45.0),
                               SizingInputs(0.2, 45.0, 250.0), dt=1.0)
         assert err.value.binding_constraint == "mass_budget"
-        # 45 W and then 0 W are over budget, and every setpoint above them
-        # is too: neither the walk nor the sweep goes further
-        assert [ev.setpoint for ev in evaluations] == [45.0, 0.0]
+        # 45 W is over budget, and so is every setpoint above it: the walk
+        # stops there
+        assert [ev.setpoint for ev in evaluations] == [45.0]
 
     def test_budget_short_of_the_demanded_stack(self):
         # 0.3 kg leaves 0.05 kg of stack, rated 15 W, for a 45 W load: the
@@ -455,22 +461,37 @@ class TestOptimizeSetpoint:
         assert sized.feasible
         assert abs(best - lowest_servable_setpoint(load)) <= 1e-3
 
-    def test_sweep_finds_what_the_walk_steps_over(self):
-        # near balance the one-pass drain test flickers: 46.77 W is
-        # feasible, 46.8-46.98 W drain by 4e-5 Wh (the tolerance is
-        # 2.25e-6 Wh), 47.0 W is feasible and 47.08 W drains again. The
-        # walk sees only drains up to the peak; the sweep finds 47.0 W
+    def test_flickering_gait_is_one_interval(self, evaluations):
+        # near balance the judged pass's net drain flickers around the
+        # 2.25e-6 Wh tolerance: 46.9 W drains 4e-5 Wh and 47.08 W 9e-6 Wh.
+        # Both passes fill the pack, so they are sustained, and every
+        # setpoint from the edge up is feasible
         gait = synthesize_walk_profile(GaitParams(
             base_load=36.00043732041543, mech_peak=9.581236722501389,
             stride_duty=0.5577856925722637, gait_period=1.9291490221079899,
             duration=60.0))
         inputs = SizingInputs(0.994, 0.0, 47.08528828634107)
         best, sized = optimize_setpoint(gait, inputs, dt=0.1)
-        assert best == 46.98926119423545
+        assert best == 46.76331563009107
         assert sized.feasible
-        kinds = {x: evaluate_setpoint(gait, inputs, x, dt=0.1).feasible
-                 for x in (46.77, 46.9, 47.0, 47.08)}
-        assert kinds == {46.77: True, 46.9: False, 47.0: True, 47.08: False}
+        assert len(evaluations) <= 16
+        for x in (46.77, 46.9, 47.0, 47.08):
+            assert evaluate_setpoint(gait, inputs, x, dt=0.1).feasible
+        below = evaluate_setpoint(gait, inputs, best - REFINE, dt=0.1)
+        assert below.reason == "battery_drain"
+        # the orbit is anchored at the top: from the pass judged at 46.9 W
+        # each further pass refills the pack and meets demand
+        config = config_from_sizing(
+            evaluate_setpoint(gait, inputs, 46.9, dt=0.1).sizing)
+        settle = simulate(config, gait, dt=0.1)
+        judged = simulate(config, gait, dt=0.1, initial_soc=settle.soc_final)
+        assert judged.soc_initial - judged.soc_final > 0.0
+        soc = judged.soc_final
+        for _ in range(5):
+            run = simulate(config, gait, dt=0.1, initial_soc=soc)
+            assert run.soc_high == config.battery.soc_max
+            assert run.unmet_energy == 0.0
+            soc = run.soc_final
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=30)
     @given(base=st.floats(min_value=10.0, max_value=60.0),
@@ -484,15 +505,15 @@ class TestOptimizeSetpoint:
     # setpoints that build it would drain the pack if simulated
     @example(base=40.0, mech_peak=10.0, duty=0.6, period=1.0, stack_g=200,
              fuel_g=0, peak=250.0)
-    # the gait of test_sweep_finds_what_the_walk_steps_over, 20 s long
+    # the gait of test_flickering_gait_is_one_interval, 20 s long
     @example(base=36.00043732041543, mech_peak=9.581236722501389,
              duty=0.5577856925722637, period=1.9291490221079899, stack_g=824,
              fuel_g=30, peak=47.08528828634107)
     def test_over_budget_setpoints_lie_above_the_rest(
             self, base, mech_peak, duty, period, stack_g, fuel_g, peak):
-        """From 0 W up, once a setpoint is over budget (H) so is every
-        higher one, which lets the walk and the sweep stop at the first.
-        Below it, too low (L) and feasible (o) setpoints may interleave."""
+        """From 0 W up, setpoints read too low (L), feasible (o), then
+        over budget (H): once a setpoint is over budget so is every higher
+        one, which lets the walk stop at the first."""
         gait = synthesize_walk_profile(GaitParams(
             base_load=base, mech_peak=mech_peak, stride_duty=duty,
             gait_period=period, duration=20.0))
@@ -508,7 +529,36 @@ class TestOptimizeSetpoint:
         for x in setpoints:
             ev = evaluate_setpoint(gait, inputs, x, dt=0.1, memo=memo)
             kinds += "o" if ev.feasible else "H" if ev.reason == "mass_budget" else "L"
-        assert re.fullmatch("[Lo]*H*", kinds), kinds
+        assert re.fullmatch("L*o*H*", kinds), kinds
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(base=st.floats(min_value=10.0, max_value=55.0),
+           mech_peak=st.floats(min_value=0.0, max_value=25.0),
+           duty=st.floats(min_value=0.3, max_value=0.8),
+           period=st.floats(min_value=0.5, max_value=3.0),
+           budget=st.floats(min_value=0.3, max_value=1.2),
+           peak=st.sampled_from([100.0, 250.0]))
+    # the gait of test_flickering_gait_is_one_interval, 20 s long
+    @example(base=36.00043732041543, mech_peak=9.581236722501389,
+             duty=0.5577856925722637, period=1.9291490221079899, budget=0.994,
+             peak=100.0)
+    def test_setpoints_near_the_edge_are_ordered(
+            self, base, mech_peak, duty, period, budget, peak):
+        """Near balance, where the judged pass's drain is small, the kinds
+        of setpoint still read L*o*H* at 0.05 W spacing: feasibility is
+        one interval, which the walk and its bisection rely on."""
+        gait = synthesize_walk_profile(GaitParams(
+            base_load=base, mech_peak=mech_peak, stride_duty=duty,
+            gait_period=period, duration=20.0))
+        inputs = SizingInputs(budget, 0.0, peak)
+        average = profile_stats(gait).average_power
+        memo = {}
+        kinds = ""
+        for k in range(-10, 31):
+            x = min(average + 0.05 * k, peak)
+            ev = evaluate_setpoint(gait, inputs, x, dt=0.1, memo=memo)
+            kinds += "o" if ev.feasible else "H" if ev.reason == "mass_budget" else "L"
+        assert re.fullmatch("L*o*H*", kinds), kinds
 
 
 GAIT_10 = synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=60.0))
