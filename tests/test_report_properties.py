@@ -1,10 +1,12 @@
-"""Properties of JSON emission: flow rows written as text match what the
-JSON encoder writes for the same quantized values, for every finite float;
-non-finite values are written null."""
+"""Properties of emission: flow rows written as text match what the JSON
+encoder writes for the same quantized values, for every finite float;
+non-finite values are written null; and every report parses back."""
 
+import csv
+import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -12,9 +14,18 @@ from hypothesis import strategies as st
 
 from fchybrid import presets
 from fchybrid.controller import EnergyFlow
-from fchybrid.profile import PowerProfile
-from fchybrid.report import _FLOW, _SIMULATION, _json_token, _payload, _q6, emit
-from fchybrid.simulator import simulate
+from fchybrid.profile import PowerProfile, ProfileStats
+from fchybrid.report import (
+    _FLOW,
+    _SIMULATION,
+    ComparisonRow,
+    _json_token,
+    _payload,
+    _q6,
+    emit,
+)
+from fchybrid.simulator import MODES, TERMINATIONS, SimulationResult, simulate
+from fchybrid.sizing import SizingResult
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=400)
 
@@ -75,3 +86,45 @@ def test_flow_report_matches_the_quantized_payload(rows):
     payload = _payload(res, _SIMULATION)
     payload["flows"] = quantized
     assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def _records(cls, **special):
+    """Instances of a result dataclass: every float field any float, the
+    fields named in special drawn from their own strategies."""
+    return st.builds(cls, **{f.name: special.get(f.name, st.floats())
+                             for f in fields(cls)})
+
+
+# text cells hold commas, quotes, line breaks and any other character
+TEXT = st.text(max_size=12) | st.sampled_from(['a,b', '"', '"q"', 'x\ny', 'x\r\ny', '\r'])
+SIZINGS = _records(SizingResult, mode=st.sampled_from(MODES), label=TEXT,
+                   feasible=st.booleans(), warnings=st.lists(TEXT, max_size=3))
+ROWS = _records(ComparisonRow, label=TEXT, feasible_at_peak=st.booleans(),
+                stack_mass=st.none() | st.floats(), fuel_mass=st.none() | st.floats())
+SIMULATIONS = _records(
+    SimulationResult, termination=st.sampled_from(TERMINATIONS),
+    steps=st.integers(min_value=0, max_value=10**9),
+    flows=st.lists(st.builds(EnergyFlow, *[st.floats()] * len(_FLOW[0])), max_size=6))
+REPORTS = st.one_of(SIZINGS, st.lists(SIZINGS, max_size=3), st.lists(ROWS, max_size=4),
+                    _records(ProfileStats), SIMULATIONS)
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(REPORTS)
+@example(SizingResult("hybrid", 0.15, 0.135, 0.8, 0.115, math.inf, math.nan, 4950.0,
+                      3300.0, 45.0, 295.0, True, label='a "b", c',
+                      warnings=["x,\ny", ""]))
+@example([ComparisonRow("NiMH, 7-cell battery", None, None, 40.0, -math.inf, 3.0,
+                        16.0, False)])
+@example([])
+def test_every_report_parses_back(report):
+    """JSON loads under a parser that refuses Infinity and NaN; every CSV
+    record, read with the csv module, is as wide as its header."""
+    json.loads(emit(report, "json"), parse_constant=reject_constant)
+    records = list(csv.reader(io.StringIO(emit(report, "csv"), newline="")))
+    width = len(records[0])
+    assert all(len(record) == width for record in records), records
