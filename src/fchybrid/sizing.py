@@ -330,10 +330,10 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     A supply over the mass budget fails on mass_budget before any
     simulation, and so does one whose tank holds less than one stepped
     pass (the profile's duration plus at most one step) at its effective
-    setpoint: there the budget, not the setpoint, runs short. Both only
-    grow with the setpoint. That fuel rule is a conservative bound: a
-    stack above the load throttles to it, so some supplies it fails would
-    carry the pass on the fuel they have.
+    setpoint: there the budget, not the setpoint, runs short. The stack
+    and that fuel grow with the setpoint. The fuel rule is a conservative
+    bound: a stack above the load throttles to it, so some supplies it
+    fails would carry the pass on the fuel they have.
 
     memo, when given, maps each supply to its settled pass and spares the
     two passes of a supply already simulated. The stack is sized to whole

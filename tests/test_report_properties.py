@@ -26,6 +26,7 @@ from fchybrid.report import (
 )
 from fchybrid.simulator import MODES, TERMINATIONS, SimulationResult, simulate
 from fchybrid.sizing import SizingResult
+from test_cli import reject_constant
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=400)
 
@@ -107,10 +108,6 @@ SIMULATIONS = _records(
     flows=st.lists(st.builds(EnergyFlow, *[st.floats()] * len(_FLOW[0])), max_size=6))
 REPORTS = st.one_of(SIZINGS, st.lists(SIZINGS, max_size=3), st.lists(ROWS, max_size=4),
                     _records(ProfileStats), SIMULATIONS)
-
-
-def reject_constant(token):
-    raise ValueError(f"non-standard JSON constant {token}")
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
