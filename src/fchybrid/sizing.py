@@ -397,17 +397,16 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs, *,
     is fuel the budget loses.
 
     From the profile's average power, clamped to [0, peak_power], the
-    search steps down while the setpoint is feasible and up while it is
-    too low, the first step 0.1 W and each later one twice the last, until
-    it brackets the edge of L and o; it then bisects the bracket to 1e-4 W
-    and returns its feasible end. A feasible 0 W is returned as it stands.
-    The walk up stops at peak_power or at the first over-budget setpoint,
-    so it steps over a feasible band narrower than its last step there.
+    search steps down while the setpoint is not too low and up while it
+    is, the first step 0.1 W and each later one twice the last, until it
+    brackets the edge of L; it then bisects the bracket to 1e-4 W and
+    returns its upper end if that is feasible. So it finds any feasible
+    band wider than 1e-4 W, however close the budget pins it to the edge.
     Setpoints that build the same supply share one memo of settled passes
     (see evaluate_setpoint), so each supply is simulated once per search.
-    Deterministic. If the walk ends without a feasible setpoint, raises
-    InfeasibleError naming the binding constraint: mass_budget if it
-    stopped over budget, otherwise unmet_demand.
+    Deterministic. If no feasible setpoint is found, raises InfeasibleError
+    naming the binding constraint: unmet_demand when every setpoint up to
+    peak_power is too low, otherwise mass_budget.
     """
     cache: dict[float, SetpointEvaluation] = {}
     memo: dict[HybridConfig, SimulationResult] = {}
@@ -417,25 +416,25 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs, *,
             cache[x] = evaluate_setpoint(profile, inputs, x, dt=dt, memo=memo)
         return cache[x]
 
+    def too_low(x: float) -> bool:
+        return judge(x).reason in ("unmet_demand", "battery_drain")
+
     peak = inputs.peak_power
     x = min(max(profile_stats(profile).average_power, 0.0), peak)
-    lo, hi = (None, x) if judge(x).feasible else (x, None)
+    lo, hi = (x, None) if too_low(x) else (None, x)
     step = _TOLERANCE
-    while (lo is None and hi > 0.0) or (
-            hi is None and lo < peak and judge(lo).reason != "mass_budget"):
+    while (lo is None and hi > 0.0) or (hi is None and lo < peak):
         x = max(hi - step, 0.0) if lo is None else min(lo + step, peak)
-        lo, hi = (lo, x) if judge(x).feasible else (x, hi)
+        lo, hi = (x, hi) if too_low(x) else (lo, x)
         step *= 2.0
 
-    if hi is None:
-        binding = ("mass_budget" if judge(lo).reason == "mass_budget"
-                   else "unmet_demand")
+    refine = _TOLERANCE * 1e-3
+    while lo is not None and hi is not None and hi - lo > refine:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if too_low(mid) else (lo, mid)
+    if hi is None or not judge(hi).feasible:
+        binding = "unmet_demand" if hi is None else "mass_budget"
         raise InfeasibleError(
             f"no setpoint in [0, {peak:g}] W satisfies the "
             f"constraints (binding: {binding})", binding_constraint=binding)
-
-    refine = _TOLERANCE * 1e-3
-    while lo is not None and hi - lo > refine:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if judge(mid).feasible else (mid, hi)
     return hi, cache[hi].sizing

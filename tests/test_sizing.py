@@ -411,9 +411,11 @@ class TestOptimizeSetpoint:
             optimize_setpoint(flat_profile(45.0),
                               SizingInputs(0.2, 45.0, 250.0), dt=1.0)
         assert err.value.binding_constraint == "mass_budget"
-        # 45 W is over budget, and so is every setpoint above it: the walk
-        # stops there
-        assert [ev.setpoint for ev in evaluations] == [45.0]
+        # 45 W is over budget, and so is every setpoint below it: the walk
+        # steps down to 0 W without finding one too low
+        assert [ev.setpoint for ev in evaluations] == pytest.approx(
+            [45.0, 44.9, 44.7, 44.3, 43.5, 41.9, 38.7, 32.3, 19.5, 0.0])
+        assert {ev.reason for ev in evaluations} == {"mass_budget"}
 
     def test_budget_short_of_the_demanded_stack(self):
         # 0.3 kg leaves 0.05 kg of stack, rated 15 W, for a 45 W load: the
@@ -493,6 +495,44 @@ class TestOptimizeSetpoint:
             assert run.unmet_energy == 0.0
             soc = run.soc_final
 
+    # two gaits from 112 g and 130 g of stack up: the first walks down from
+    # an over-budget average, the second walks up over a band of 0.3 W
+    @pytest.mark.parametrize("base, mech_peak, duty, period, stack_g", [
+        (11.275636443490285, 20.894127597996743, 0.5163835339525267,
+         2.405700206144855, range(108, 116)),
+        (30.660927935980077, 6.731986936035531, 0.5739981547331244,
+         2.8927907036505673, range(126, 134)),
+    ], ids=["from-over-budget", "over-a-narrow-band"])
+    def test_budgets_across_the_mass_edge(self, base, mech_peak, duty, period,
+                                          stack_g):
+        """A gram at a time across the mass edge, every budget that leaves
+        a feasible setpoint gets an answer, however close the setpoints
+        over budget sit above the ones too low."""
+        gait = synthesize_walk_profile(GaitParams(
+            base_load=base, mech_peak=mech_peak, stride_duty=duty,
+            gait_period=period, duration=20.0))
+        fixed = size_hybrid(SizingInputs(1.0, 0.0, 100.0))
+        average = profile_stats(gait).average_power
+        answered = []
+        for grams in stack_g:
+            inputs = SizingInputs(grams / 1000.0 + fixed.battery_mass
+                                  + fixed.electronics_mass, 0.0, 100.0)
+            memo = {}
+            feasible = [x for x in (average + 0.05 * k for k in range(-20, 31))
+                        if evaluate_setpoint(gait, inputs, x, dt=0.1,
+                                             memo=memo).feasible]
+            try:
+                best, _ = optimize_setpoint(gait, inputs, dt=0.1)
+            except InfeasibleError as err:
+                assert err.binding_constraint == "mass_budget"
+                assert not feasible
+                continue
+            assert evaluate_setpoint(gait, inputs, best, dt=0.1).feasible
+            assert not feasible or best <= feasible[0]
+            answered.append(grams)
+        # the sweep straddles the edge
+        assert stack_g[0] not in answered and stack_g[-1] in answered
+
     @settings(derandomize=True, deadline=None, database=None, max_examples=30)
     @given(base=st.floats(min_value=10.0, max_value=60.0),
            mech_peak=st.floats(min_value=0.0, max_value=30.0),
@@ -521,41 +561,15 @@ class TestOptimizeSetpoint:
         inputs = SizingInputs((stack_g + fuel_g) / 1000.0 + fixed.battery_mass
                               + fixed.electronics_mass, 0.0, peak)
         rated = stack_g / 1000.0 * inputs.constants.stack_specific_power
+        average = profile_stats(gait).average_power
         setpoints = sorted({*np.linspace(0.0, peak, 16).tolist(),
                             *(min(max(rated + 0.05 * k, 0.0), peak)
-                              for k in range(-7, 7))})
+                              for k in range(-7, 7)),
+                            *(min(max(average + 0.05 * k, 0.0), peak)
+                              for k in range(-10, 31))})
         memo = {}
         kinds = ""
         for x in setpoints:
-            ev = evaluate_setpoint(gait, inputs, x, dt=0.1, memo=memo)
-            kinds += "o" if ev.feasible else "H" if ev.reason == "mass_budget" else "L"
-        assert re.fullmatch("L*o*H*", kinds), kinds
-
-    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
-    @given(base=st.floats(min_value=10.0, max_value=55.0),
-           mech_peak=st.floats(min_value=0.0, max_value=25.0),
-           duty=st.floats(min_value=0.3, max_value=0.8),
-           period=st.floats(min_value=0.5, max_value=3.0),
-           budget=st.floats(min_value=0.3, max_value=1.2),
-           peak=st.sampled_from([100.0, 250.0]))
-    # the gait of test_flickering_gait_is_one_interval, 20 s long
-    @example(base=36.00043732041543, mech_peak=9.581236722501389,
-             duty=0.5577856925722637, period=1.9291490221079899, budget=0.994,
-             peak=100.0)
-    def test_setpoints_near_the_edge_are_ordered(
-            self, base, mech_peak, duty, period, budget, peak):
-        """Near balance, where the judged pass's drain is small, the kinds
-        of setpoint still read L*o*H* at 0.05 W spacing: feasibility is
-        one interval, which the walk and its bisection rely on."""
-        gait = synthesize_walk_profile(GaitParams(
-            base_load=base, mech_peak=mech_peak, stride_duty=duty,
-            gait_period=period, duration=20.0))
-        inputs = SizingInputs(budget, 0.0, peak)
-        average = profile_stats(gait).average_power
-        memo = {}
-        kinds = ""
-        for k in range(-10, 31):
-            x = min(average + 0.05 * k, peak)
             ev = evaluate_setpoint(gait, inputs, x, dt=0.1, memo=memo)
             kinds += "o" if ev.feasible else "H" if ev.reason == "mass_budget" else "L"
         assert re.fullmatch("L*o*H*", kinds), kinds
