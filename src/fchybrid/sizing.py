@@ -351,6 +351,8 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
         raise ValidationError("setpoint must be >= 0")
     if dt is None:
         dt = default_dt(profile)
+    elif not 0.0 < dt < math.inf:
+        raise ValidationError("dt must be finite and > 0")
     sized = size_hybrid(SizingInputs(inputs.mass_budget, setpoint,
                                      inputs.peak_power, inputs.constants))
     config = config_from_sizing(sized, constants=inputs.constants)

@@ -363,6 +363,13 @@ class TestEvaluateSetpoint:
         with pytest.raises(ValidationError, match="dt"):
             evaluate_setpoint(flat_profile(45.0), INPUTS, 45.0, dt=1e-300)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
+    def test_step_must_be_finite_and_positive(self, dt, simulations):
+        # an infinite step must not read as a tank short of one pass
+        with pytest.raises(ValidationError, match="dt must be finite and > 0"):
+            evaluate_setpoint(flat_profile(45.0), INPUTS, 45.0, dt=dt)
+        assert simulations == []
+
     def test_negative_setpoint_rejected(self):
         with pytest.raises(ValidationError):
             evaluate_setpoint(flat_profile(45.0), INPUTS, -1.0)
@@ -445,6 +452,11 @@ class TestOptimizeSetpoint:
         assert by_setpoint[best].feasible
         assert any(best - REFINE <= x < best and not ev.feasible
                    for x, ev in by_setpoint.items())
+
+    def test_infinite_step_rejected_before_any_evaluation(self, evaluations):
+        with pytest.raises(ValidationError, match="dt must be finite and > 0"):
+            optimize_setpoint(flat_profile(45.0), INPUTS, dt=math.inf)
+        assert evaluations == []
 
     def test_zero_load_optimum_is_zero(self, evaluations):
         best, sized = optimize_setpoint(flat_profile(0.0), INPUTS, dt=1.0)
