@@ -176,6 +176,12 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
       - unmet_demand: shortfall above UNMET_FRACTION (1 %) of demand
         lasted GRACE_S (5 s); run_time reports the start of that stretch
 
+    A run whose stores are spent while such a shortfall is open ends
+    fuel_exhausted or battery_depleted, and its run_time also reports the
+    start of that stretch, unless the stretch began on the last step only
+    because the pack ran dry on it (the stack's output and the pack's
+    power bound would have met the demand); that step counts in full.
+
     Flows are recorded every flow_stride-th step when record_flows is
     set. Decimation keeps logs small without touching the integration.
 
@@ -391,8 +397,19 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         else:
             streak_start = -1.0
 
-    if end_time_s is None:
-        end_time_s = n * dt if termination != PROFILE_ENDED else min(n * dt, duration_s)
+    if termination == PROFILE_ENDED:
+        end_time_s = min(n * dt, duration_s)
+    elif end_time_s is None:
+        # stores spent with a shortfall streak open: demand was last met
+        # where it began, unless it began on the last step and only for
+        # want of stored energy, as the pack runs dry; that step counts
+        if streak_start >= 0.0 and (
+                streak_start < (n - 1) * dt
+                or flow.demand - flow.fc_output - battery.max_power_w
+                > unmet_fraction * flow.demand):
+            end_time_s = streak_start
+        else:
+            end_time_s = n * dt
 
     fuelled = stored_from + len(fc_series)  # L
     if first_pass < 0:
@@ -447,15 +464,18 @@ def run_time_constant_load(config: HybridConfig, load: float,
     """Analytic endurance at a constant load, in hours.
 
     Mirrors the simulator's policy closed-form: the fuel cell follows the
-    load up to its ceiling, the battery bridges the rest until its floor,
-    and the run ends when both are spent. Battery charging en route is
-    not modeled, so start the pack where the simulation does (default
-    full).
+    load up to its ceiling, the battery bridges the rest up to its power
+    bound until its floor, and the run ends when both are spent or when
+    what they leave unmet is more than UNMET_FRACTION of the demand; a
+    smaller shortfall does not end a run (see simulate). Battery charging
+    en route is not modeled, so start the pack where the simulation does
+    (default full).
     """
     if not 0.0 < load < math.inf:
         raise ValidationError("load must be finite and > 0")
     battery = config.battery
     bus = load / config.electronics.converter_efficiency
+    slack = UNMET_FRACTION * bus  # W of shortfall a run carries on with
     if initial_soc is None:
         initial_soc = battery.soc_max
     usable = ((initial_soc - battery.soc_min) * battery.capacity_wh
@@ -464,27 +484,23 @@ def run_time_constant_load(config: HybridConfig, load: float,
     fuel = fuel_energy(config.tank)
 
     if config.mode == MODE_BATTERY:
-        if bus > p_batt + 1e-12:
+        if bus - p_batt > slack:
             return RunTimeEstimate(0.0, False)
-        return RunTimeEstimate(usable / bus, True)
+        return RunTimeEstimate(usable / min(bus, p_batt), bus <= p_batt + 1e-12)
 
     ceiling = (config.effective_setpoint if config.mode == MODE_HYBRID
                else config.stack.rated_power)
-
-    if bus <= ceiling + 1e-12:
-        hours = fuel / bus
-        if bus <= p_batt + 1e-12:
-            hours += usable / bus
-        return RunTimeEstimate(hours, True)
-    deficit = bus - ceiling
-    if deficit > p_batt + 1e-12:
+    stack = min(bus, ceiling)
+    bridge = min(bus - stack, p_batt)  # the pack's share while both last
+    if bus - stack - bridge > slack:
         return RunTimeEstimate(0.0, False)
-    t_batt = usable / deficit
-    t_fuel = fuel / ceiling if ceiling > 0 else 0.0
-    if t_batt <= t_fuel:
-        return RunTimeEstimate(t_batt, False)
-    remaining = usable - deficit * t_fuel
+    sustainable = bus <= ceiling + 1e-12
+    t_fuel = fuel / stack if stack > 0 else 0.0
+    t_batt = usable / bridge if bridge > 0 else math.inf
+    if t_batt <= t_fuel:  # the stack alone, if it carries the load
+        return RunTimeEstimate(t_fuel if bus - stack <= slack else t_batt,
+                               sustainable)
     hours = t_fuel
-    if bus <= p_batt + 1e-12:
-        hours += remaining / bus
-    return RunTimeEstimate(hours, False)
+    if bus - p_batt <= slack:  # the pack alone
+        hours += (usable - bridge * t_fuel) / min(bus, p_batt)
+    return RunTimeEstimate(hours, sustainable)

@@ -1,7 +1,8 @@
 """Invariants of generated runs: energy closes, every flow balances
 exactly, SOC stays in its window, each counted step is one dispatch, and
 the reported ripple is the steady window formula of ``simulate``'s
-docstring over the stride-1 stack output.
+docstring over the stride-1 stack output; on a flat load, a looped run
+ends within one step of ``run_time_constant_load``.
 
 Supplies are tiny (packs and tanks of a few Wh at most), profiles are a few
 seconds long with 0 W stretches and -0.0 samples, dt reaches the profile's
@@ -33,6 +34,7 @@ from fchybrid.simulator import (
     MODE_HYBRID,
     MODES,
     HybridConfig,
+    run_time_constant_load,
     simulate,
 )
 
@@ -212,3 +214,42 @@ def test_run_invariants(run):
         assert math.isclose(res.ripple, ripple, rel_tol=1e-12)
     else:
         assert res.ripple == ripple
+
+
+@RUN
+@given(mode=st.sampled_from(MODES), load=st.floats(min_value=1.0, max_value=150.0),
+       fuel_wh=st.floats(min_value=0.0, max_value=5.0),
+       capacity_wh=st.floats(min_value=0.0, max_value=5.0),
+       power_w=st.floats(min_value=0.0, max_value=120.0),
+       rated=st.floats(min_value=0.0, max_value=120.0),
+       setpoint=st.floats(min_value=0.0, max_value=120.0),
+       tau=st.floats(min_value=0.05, max_value=5.0),
+       headroom=st.floats(min_value=0.01, max_value=1.0),
+       eta=st.floats(min_value=0.8, max_value=1.0),
+       battery_eta=st.floats(min_value=0.8, max_value=1.0),
+       soc_min=st.floats(min_value=0.0, max_value=0.4),
+       soc_max=st.floats(min_value=0.45, max_value=1.0),
+       dt=st.floats(min_value=1.0, max_value=5.0))
+# a shortfall of 0.8 % of the load, which does not end a run
+@example(mode=MODE_HYBRID, load=1.0, fuel_wh=1.0, capacity_wh=0.0, power_w=0.0,
+         rated=1.0, setpoint=1.0, tau=1.0, headroom=1.0, eta=0.9921875,
+         battery_eta=1.0, soc_min=0.0, soc_max=1.0, dt=1.0)
+# a shortfall of 2 %, and a pack spent before it has lasted the grace
+@example(mode=MODE_BATTERY, load=47.0, fuel_wh=0.0, capacity_wh=0.125, power_w=46.0,
+         rated=0.0, setpoint=0.0, tau=1.0, headroom=1.0, eta=1.0,
+         battery_eta=0.8125, soc_min=0.0, soc_max=0.5, dt=1.0)
+# the fuel runs out a step before the pack, which cannot carry the load alone
+@example(mode=MODE_HYBRID, load=102.0, fuel_wh=1.9375, capacity_wh=2.6875,
+         power_w=57.0, rated=53.25, setpoint=54.0, tau=1.0, headroom=1.0, eta=1.0,
+         battery_eta=0.96875, soc_min=0.125, soc_max=0.8125, dt=1.0)
+def test_flat_load_run_time_is_the_closed_forms(
+        mode, load, fuel_wh, capacity_wh, power_w, rated, setpoint, tau, headroom,
+        eta, battery_eta, soc_min, soc_max, dt):
+    config = supply(mode, fuel_wh, capacity_wh, power_w, rated, setpoint, tau=tau,
+                    headroom=headroom, eta=eta, battery_eta=battery_eta,
+                    soc_min=soc_min, soc_max=soc_max)
+    estimate = run_time_constant_load(config, load)
+    res = simulate(config, profile_of([0.0, 3600.0], [load, load]), dt=dt,
+                   loop_profile=True)
+    event(res.termination)
+    assert abs(res.run_time - estimate.hours) * 3600.0 <= dt + 1e-6

@@ -232,6 +232,30 @@ class TestTerminations:
         assert res.termination == ending
         assert res.steps == (GRACE_S if ending == UNMET_DEMAND else 60)
 
+    def test_stores_spent_within_the_grace_report_streak_start(self):
+        # a 46 W pack under a 47 W load leaves 2 % unmet from the first
+        # step and runs dry on the fourth, before the 5 s grace ends: the
+        # demand was last met when the streak began
+        cfg = presets.nimh_config()
+        cfg = replace(cfg, battery=replace(cfg.battery, mass=1.0,
+                                           specific_energy=46.0 / 3600.0 * 3.5,
+                                           specific_power=46.0))
+        res = simulate(cfg, flat(47.0), dt=1.0)
+        assert res.termination == BATTERY_DEPLETED
+        assert res.steps == 4
+        assert res.run_time == 0.0
+
+    def test_last_partial_step_counts_as_run(self):
+        # the step on which the pack runs dry leaves most of the load unmet
+        # and opens a streak; it began on the last step, so the run ends
+        # when that step does
+        cfg = presets.nimh_config()
+        cfg = replace(cfg, battery=replace(cfg.battery, mass=1.0,
+                                           specific_energy=47.0 / 3600.0 * 3.5))
+        res = simulate(cfg, flat(47.0), dt=1.0)
+        assert res.termination == BATTERY_DEPLETED
+        assert res.run_time == 4.0 / 3600.0
+
     def test_max_hours_guard(self, monkeypatch):
         # 1 W would take the preset's 0.8 kg of fuel about 4,000 h; the
         # horizon, lowered to 3.6 s, stops it on its fifth step
@@ -702,10 +726,19 @@ class TestRunTimeConstantLoad:
         assert run_time_constant_load(cfg, 32.0).hours == 1.5
 
     def test_battery_mode_power_limit(self):
+        # past the pack's 300 W bound the run goes on at that bound while
+        # the shortfall is at most UNMET_FRACTION of the load, as simulate's
         cfg = presets.nimh_config()
         p_max = cfg.battery.max_power_w
         assert run_time_constant_load(cfg, p_max).sustainable
-        assert run_time_constant_load(cfg, p_max + 1.0) == (0.0, False)
+        assert run_time_constant_load(cfg, p_max + 1.0) == (48.0 / p_max, False)
+        assert run_time_constant_load(cfg, p_max * 1.02) == (0.0, False)
+        for load, ending in ((p_max + 1.0, BATTERY_DEPLETED),
+                             (p_max * 1.02, UNMET_DEMAND)):
+            res = simulate(cfg, flat(load), dt=1.0, loop_profile=True)
+            assert res.termination == ending
+            assert abs(res.run_time - run_time_constant_load(cfg, load).hours) \
+                * 3600.0 <= 1.0
 
     def test_hybrid_below_ceiling_sums_both_stores(self):
         est = run_time_constant_load(presets.hybrid_config(), 45.0)
