@@ -180,7 +180,8 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     fuel_exhausted or battery_depleted, and its run_time also reports the
     start of that stretch, unless the stretch began on the last step only
     because the pack ran dry on it (the stack's output and the pack's
-    power bound would have met the demand); that step counts in full.
+    power bound would have left at most UNMET_FRACTION of the demand
+    unmet); that step counts in full.
 
     Flows are recorded every flow_stride-th step when record_flows is
     set. Decimation keeps logs small without touching the integration.
