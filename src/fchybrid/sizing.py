@@ -36,9 +36,9 @@ from .simulator import (
 from .controller import ControllerParams
 
 
-_CELL_VOLTAGE = 0.8  # V, a hybrid stack's operating point
+_CELL_VOLTAGE = 0.8  # V, every stack's operating point
 _STACK_FACTOR = 2.0  # a direct stack over the steady-power stack
-_STRESS_VOLTAGE = 0.95  # V, the effective stress of an unbuffered stack
+_UNBUFFERED_RIPPLE = 1.0  # relative ripple the closed form assumes unbuffered
 _TOLERANCE = 0.1  # W, the setpoint search's first step
 
 
@@ -180,9 +180,9 @@ def size_hybrid(inputs: SizingInputs) -> SizingResult:
 def size_direct_fc(inputs: SizingInputs) -> SizingResult:
     """Stack-plus-tank supply with no battery buffer.
 
-    The stack is twice the steady-power stack to ride load swings, and
-    without the suppression stage it sees an effective stress voltage of
-    0.95 V that sets its life.
+    The stack is twice the steady-power stack to ride load swings. Like
+    every stack it runs at 0.8 V; unbuffered, it is assumed to see a
+    relative ripple of 1, which sets its life (about 120 h).
     """
     c = inputs.constants
     stack_mass = _to_gram(_STACK_FACTOR * inputs.steady_power / c.stack_specific_power)
@@ -205,7 +205,7 @@ def size_direct_fc(inputs: SizingInputs) -> SizingResult:
         fuel_mass=fuel_mass,
         electronics_mass=0.0,
         run_time=run_time,
-        system_life=fc_life(_STRESS_VOLTAGE),
+        system_life=fc_life(_CELL_VOLTAGE, _UNBUFFERED_RIPPLE),
         energy_density=c.fuel_specific_energy,
         system_energy_density=fuel_wh / inputs.mass_budget,
         load_basis=inputs.steady_power,
@@ -242,19 +242,23 @@ def size_battery_only(template: BatterySpec, mass_budget: float,
 
 
 def system_life(config: HybridConfig, run_time: float | None = None, *,
-                battery_cycles: float = 0.0, ripple: float = 0.0) -> float:
+                battery_cycles: float = 0.0, ripple: float | None = None) -> float:
     """Service-life horizon of a configuration in hours.
 
     Battery packs last cycle_life full cycles, so their horizon scales
-    with run-time per cycle. Fuel-cell supplies are bound by the voltage
-    degradation law. A hybrid takes the minimum of its stack life and the
-    battery's cycle horizon (infinite when the run cycles it zero times,
-    as a steady load does).
+    with run-time per cycle. A stack's life is the degradation law at its
+    cell voltage and relative ripple: the measured ripple when given, else
+    the closed form's assumption, 1 for an unbuffered direct_fc stack and
+    0 behind a battery. A hybrid takes the minimum of its stack life and
+    the battery's cycle horizon (infinite when the run cycles it zero
+    times, as a steady load does).
     """
     if config.mode == MODE_BATTERY:
         if run_time is None:
             raise ValidationError("battery life needs the run_time per cycle")
         return config.battery.cycle_life * run_time
+    if ripple is None:
+        ripple = _UNBUFFERED_RIPPLE if config.mode == MODE_DIRECT else 0.0
     stack_life = fc_life(config.stack.cell_voltage, ripple, config.degradation)
     if config.mode == MODE_DIRECT:
         return stack_life
@@ -269,24 +273,19 @@ def config_from_sizing(result: SizingResult, *,
                        battery_template: BatterySpec | None = None) -> HybridConfig:
     """Build a simulatable configuration realizing a sizing result.
 
-    Both fuel modes get fc_setpoint = min(result.load_basis, the stack's
-    rated power), the effective setpoint. A direct stack follows the load
-    up to its rating, so in direct_fc mode only the comparison reads the
-    setpoint, as its row's load basis.
+    Every stack runs at 0.8 V, and a pack's weighs 0 kg. Both fuel modes
+    get fc_setpoint = min(result.load_basis, the stack's rated power), the
+    effective setpoint. A direct stack follows the load up to its rating,
+    so in direct_fc mode only the comparison reads the setpoint, as its
+    row's load basis.
     """
     if battery_template is None:
         battery_template = default_battery_template(constants)
-    if result.mode == MODE_BATTERY:
-        stack = FuelCellStackSpec(rated_power=0.0, mass=0.0,
-                                  cell_voltage=_CELL_VOLTAGE)
-        setpoint = 0.0
-    else:
-        stack = FuelCellStackSpec.from_mass(
-            result.stack_mass,
-            cell_voltage=(_STRESS_VOLTAGE if result.mode == MODE_DIRECT
-                          else _CELL_VOLTAGE),
-            specific_power=constants.stack_specific_power)
-        setpoint = min(result.load_basis, stack.rated_power)
+    stack = FuelCellStackSpec.from_mass(
+        result.stack_mass, cell_voltage=_CELL_VOLTAGE,
+        specific_power=constants.stack_specific_power)
+    setpoint = (0.0 if result.mode == MODE_BATTERY
+                else min(result.load_basis, stack.rated_power))
     return HybridConfig(
         stack=stack, battery=battery_template.scaled(result.battery_mass),
         tank=FuelTankSpec(fuel_mass=result.fuel_mass,

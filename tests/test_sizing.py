@@ -172,7 +172,7 @@ class TestSizeDirectFc:
         assert math.isclose(r.fuel_mass, 0.9)
         assert r.run_time == 99.0
         assert r.peak_capability == 90.0
-        assert math.isclose(r.system_life, fc_life(0.95))
+        assert r.system_life == fc_life(0.8, 1.0)
         assert r.feasible
         assert r.warnings == ["stack rated 90 W cannot meet 250 W peaks"]
         assert r.label == "fuel cell"
@@ -268,8 +268,14 @@ class TestSystemLife:
         assert system_life(cfg, 3.0) == 3000.0
 
     def test_direct_config_is_stack_bound(self):
+        # the closed form assumes an unbuffered stack sees ripple 1
         cfg = presets.direct_fc_config()
-        assert system_life(cfg) == fc_life(0.95)
+        assert system_life(cfg) == fc_life(0.8, 1.0)
+
+    def test_measured_ripple_replaces_the_assumed_one(self):
+        cfg = presets.direct_fc_config()
+        assert system_life(cfg, ripple=0.0) == 26280.0
+        assert system_life(cfg, ripple=0.385) == fc_life(0.8, 0.385)
 
     def test_hybrid_takes_minimum_of_stack_and_cycle_horizon(self):
         cfg = presets.hybrid_config()
@@ -297,7 +303,7 @@ class TestConfigFromSizing:
     def test_direct_realization(self):
         cfg = config_from_sizing(size_direct_fc(INPUTS))
         assert cfg.mode == MODE_DIRECT
-        assert cfg.stack.cell_voltage == 0.95
+        assert cfg.stack.cell_voltage == 0.8
         assert cfg.stack.rated_power == 90.0
         assert cfg.controller.fc_setpoint == 45.0
         assert cfg.battery.mass == 0.0
