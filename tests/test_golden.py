@@ -33,7 +33,12 @@ changed again when a step cut by the fuel cap, the partial step on which
 a tank runs out, came to enter that window as 0 W: the hybrid and lossy
 gait runs (1.0e-9) and the direct, hybrid and lossy flat runs (1.9e-12)
 now read ripple 0, and ``sim-looped-flows-1e6`` reads 1.85188 (was
-1.85186; fc_damage 354.99 to 355.026).
+1.85186; fc_damage 354.99 to 355.026). The six ``direct-*`` runs changed
+in ``fc_damage`` alone when the direct stack came to run at 0.8 V, not an
+assumed 0.95 V, with its measured ripple the only stress: each fell by
+fc_life(0.8) / fc_life(0.95), about 219 (``direct-gait-once`` 7.89308e-4
+to 3.6026e-6), and ``direct-flat-once`` now emits what ``hybrid-flat-once``
+does.
 
 The scenarios cross the four presets (all three modes) and a lossy hybrid
 (non-unit converter and battery efficiencies, a raised SOC floor, reduced
@@ -124,12 +129,12 @@ GOLDEN = {
     "hybrid-flat-looped": "6bbe904faec2f3a1de6e81a64b31fff7f15e6e10b5c175f9654105a322cf0bfe",  # fuel_exhausted after 418 steps
     "hybrid-spike-once": "03db71ee2e8a10c525c569e75930756f30c971c46f986fc3d3ac46309d9e17ba",  # profile_ended after 900 steps
     "hybrid-spike-looped": "927c247b1a679cad0c7131346bb11b38ccd6854e04ff7c017894f109bfcddb1e",  # unmet_demand after 1376 steps
-    "direct-gait-once": "36db0fa63451d7d25bd02bb86faa876b4ad55cf299e17ae9bc30ced7bf4afa1a",  # profile_ended after 3000 steps
-    "direct-gait-looped": "30dda0b8ccacf325b3557594408f7abc7b19d2d0b5d2d048c22aa94e2899deb8",  # fuel_exhausted after 7721 steps
-    "direct-flat-once": "2ee6e82e7f399c9c0c907e68350290028b7be762ea3d0f5776bc4d3414e13e7c",  # profile_ended after 240 steps
-    "direct-flat-looped": "28cb268db2eff8a9d6be8c216230dee7073d920db9802db974fd8dce6c6855fc",  # fuel_exhausted after 320 steps
-    "direct-spike-once": "d25447287aa85cbf7a5651ab00dac1dabb053e6947c89644a7e06605ea99e82c",  # unmet_demand after 450 steps
-    "direct-spike-looped": "c4dcf864cd621f07ac05946b4acb420ccf0194a14ab5873463ff74c0898ce39e",  # unmet_demand after 450 steps
+    "direct-gait-once": "319c6f46b009bb5d4ab73a1e040a133c982a0433e750efc0e8e206a4615876a0",  # profile_ended after 3000 steps
+    "direct-gait-looped": "5ee19036d4401a8464c97e6865d4232f194e924a47a4f44592cdd9b294b06ea6",  # fuel_exhausted after 7721 steps
+    "direct-flat-once": "c2ff3edcf172f60c914f3f0e1ecab12a8abf0b0a764846cd4fd4cddba4403ef9",  # profile_ended after 240 steps
+    "direct-flat-looped": "9f36a25a41815408cd4ecb71220e876d67e24b8983f91151421c00c81f6b1842",  # fuel_exhausted after 320 steps
+    "direct-spike-once": "2df7651328ff2dcd195222c18cfd186ec01c4fa3a2de2aa2e92cb5defc92470f",  # unmet_demand after 450 steps
+    "direct-spike-looped": "8ec7be379094b9e2985eed94ef189d7136abb159af996701a028c9c8557251ec",  # unmet_demand after 450 steps
     "nimh-gait-once": "7c207cf3291c7488c6ed2c1a98401fa68c00030b7671cf98705c96357d0c0412",  # profile_ended after 3000 steps
     "nimh-gait-looped": "04338e5e1e00cef961f39a5d7c8949fed9c98a5fc3bfcaa1177b5d5185204f43",  # battery_depleted after 9263 steps
     "nimh-flat-once": "811a36b1bd7f8f6f596721ae965d7262c95733d050f16d305a414909c72a1215",  # profile_ended after 240 steps
