@@ -20,6 +20,7 @@ from .presets import (
     NIMH_TEMPLATE,
     comparison_configs,
     comparison_sizings,
+    hybrid_config,
 )
 from .profile import (
     GaitParams,
@@ -88,7 +89,6 @@ def _cmd_simulate(args) -> int:
     if args.config:
         config = load_supply_config(args.config)
     else:
-        from .presets import hybrid_config
         config = hybrid_config()
     profile = load_profile(args.profile)
     try:

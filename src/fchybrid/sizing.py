@@ -38,7 +38,7 @@ from .controller import ControllerParams
 
 _CELL_VOLTAGE = 0.8  # V, every stack's operating point
 _STACK_FACTOR = 2.0  # a direct stack over the steady-power stack
-_UNBUFFERED_RIPPLE = 1.0  # relative ripple the closed form assumes unbuffered
+_UNBUFFERED_RIPPLE = 1.0  # the ripple the closed form assumes with no battery
 _TOLERANCE = 0.1  # W, the setpoint search's first step
 
 

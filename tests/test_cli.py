@@ -220,6 +220,16 @@ class TestCompareCommand:
         assert main(args) == 0
         assert capsys.readouterr().out == TABLE_CSV
 
+    def test_direct_ini_without_cell_voltage_gives_the_table_row(self, tmp_path, capsys):
+        # every stack runs at 0.8 V, so an INI that leaves cell_voltage to
+        # its default describes the direct preset, and is rated as it is
+        ini = tmp_path / "direct.ini"
+        ini.write_text("[system]\nmode = direct_fc\n[fuel_cell]\nmass = 0.3\n"
+                       "[battery]\nmass = 0\n[fuel_tank]\nfuel_mass = 0.9\n")
+        assert main(["compare", "--config", str(ini), "--format", "csv"]) == 0
+        header, _, _, direct, _ = TABLE_CSV.splitlines()
+        assert capsys.readouterr().out.splitlines() == [header, direct]
+
     def test_label_with_a_comma_stays_one_cell(self, tmp_path, capsys):
         ini = tmp_path / "pack.ini"
         ini.write_text("[system]\nmode = battery_only\n[fuel_cell]\nmass = 0\n"

@@ -1,8 +1,9 @@
 """Invariants of generated runs: energy closes, every flow balances
-exactly, SOC stays in its window, each counted step is one dispatch, and
-the reported ripple is the steady window formula of ``simulate``'s
-docstring over the stride-1 stack output; on a flat load, a looped run
-ends within one step of ``run_time_constant_load``.
+exactly, SOC stays in its window, each counted step is one dispatch, the
+reported ripple is the steady window formula of ``simulate``'s docstring
+over the stride-1 stack output, and fc_damage is the stack hours over the
+life at the stack's cell voltage and that ripple, one stress term; on a
+flat load, a looped run ends within one step of ``run_time_constant_load``.
 
 Supplies are tiny (packs and tanks of a few Wh at most), profiles are a few
 seconds long with 0 W stretches and -0.0 samples, dt reaches the profile's
@@ -24,6 +25,7 @@ from fchybrid.powertrain import (
     ElectronicsSpec,
     FuelCellStackSpec,
     FuelTankSpec,
+    fc_life,
     fuel_energy,
 )
 from fchybrid.profile import GaitParams, PowerProfile, synthesize_walk_profile
@@ -162,6 +164,13 @@ HYBRID = presets.hybrid_config()
 @example((replace(HYBRID, tank=replace(HYBRID.tank, fuel_mass=6.0 / FUEL_WH_PER_KG)),
           synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=5.0)), 0.01,
           True, HYBRID.battery.soc_min))
+# a 2.2e-313 W demand: every energy of the run, and its fuel mass, is subnormal
+@example((supply(MODE_DIRECT, 2.7778e-6, 0.0, 1.0, 1.0, 0.0, soc_min=0.0),
+          profile_of([0.0, 1.0], [2.22507386e-313, 0.0]), 0.01, False, None))
+# the direct preset's 0.8 V stack, stressed only by the ripple of a short gait
+@example((presets.direct_fc_config(),
+          synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=5.0)), 0.01,
+          False, None))
 def test_run_invariants(run):
     config, profile, dt, looped, initial_soc = run
     calls = []  # the stack command of each dispatch
@@ -189,15 +198,17 @@ def test_run_invariants(run):
         assert min(f.unmet, f.curtailed) == 0.0
 
     # bus-side closure, relative to the energy the run's own flows carry,
-    # so a flow below the last bit of the demand or of the tank counts too
+    # so a flow below the last bit of the demand or of the tank counts too;
+    # checked on the fuel mass as reported, in kg: a subnormal mass (a
+    # 2e-313 W demand burns 1e-320 kg) holds too few bits to scale to Wh
     eta = config.electronics.converter_efficiency
-    fuel_wh = res.fuel_consumed * FUEL_WH_PER_KG
-    sources = fuel_wh + res.battery_discharge - res.battery_charge
     sinks = res.energy_delivered / eta + res.curtailed_energy
+    burned_kg = (sinks - res.battery_discharge + res.battery_charge) / FUEL_WH_PER_KG
     flowed = math.fsum(f.fc_output + abs(f.battery_power) + f.curtailed
                        for f in res.flows) * dt / 3600.0
-    assert abs(sources - sinks) <= 1e-9 * flowed
+    assert abs(res.fuel_consumed - burned_kg) <= 1e-9 * flowed / FUEL_WH_PER_KG
     # and relative to the largest energy the run accounts for, stores included
+    sources = res.fuel_consumed * FUEL_WH_PER_KG + res.battery_discharge - res.battery_charge
     demanded = (res.energy_delivered + res.unmet_energy) / eta
     scale = max(fuel_energy(config.tank), config.battery.capacity_wh,
                 res.battery_discharge, res.battery_charge, sinks, demanded)
@@ -214,6 +225,11 @@ def test_run_invariants(run):
         assert math.isclose(res.ripple, ripple, rel_tol=1e-12)
     else:
         assert res.ripple == ripple
+
+    stack_h = sum(f.fc_output > 0.0 for f in res.flows) * dt / 3600.0
+    life = fc_life(config.stack.cell_voltage, res.ripple, config.degradation)
+    if config.mode != MODE_BATTERY and stack_h > 0.0 and life > 0.0:
+        assert math.isclose(res.fc_damage, stack_h / life, rel_tol=1e-9)
 
 
 @RUN
