@@ -34,7 +34,6 @@ from .profile import (
 from .report import ComparisonRow, compare, emit
 from .simulator import (
     HybridConfig,
-    RunTimeEstimate,
     SimulationResult,
     run_time_constant_load,
     simulate,
@@ -70,7 +69,6 @@ __all__ = [
     "PowerProfile",
     "ProfileParseError",
     "ProfileStats",
-    "RunTimeEstimate",
     "STACK_SPECIFIC_POWER",
     "SimulationResult",
     "SizingConstants",

@@ -61,15 +61,15 @@ def _row_from_config(config: HybridConfig, peak_power: float,
         initial_soc = config.battery.soc_min
     if not 0.0 < load < math.inf:
         raise ValidationError("comparison load basis must be finite and > 0")
-    estimate = run_time_constant_load(config, load, initial_soc=initial_soc)
-    life = system_life(config, run_time=estimate.hours)
+    run_time = run_time_constant_load(config, load, initial_soc=initial_soc)
+    life = system_life(config, run_time=run_time)
     return ComparisonRow(
         label=supply_label(config.mode, config.battery.chemistry),
         stack_mass=None if battery_mode else config.stack.mass,
         fuel_mass=None if battery_mode else config.tank.fuel_mass,
         energy_density=density,
         system_life=life,
-        run_time=estimate.hours,
+        run_time=run_time,
         load_basis=load,
         feasible_at_peak=capability >= peak_power,
     )

@@ -37,7 +37,6 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -148,14 +147,6 @@ class SimulationResult:
     flows: list[EnergyFlow] = field(default_factory=list)
 
 
-class RunTimeEstimate(NamedTuple):
-    """Closed-form endurance. sustainable is False when the load exceeds
-    the steady deliverable power, making the horizon transient-only."""
-
-    hours: float
-    sustainable: bool
-
-
 def default_dt(profile: PowerProfile) -> float:
     """1 s for slow profiles, 10 ms when sample spacing is sub-second."""
     spacing = float(np.diff(profile.times).min())
@@ -208,13 +199,13 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     nothing is ever folded; once something is, the sum of block sums may
     differ from one numpy sum of the window in the last bits.
 
-    dt and the max_hours horizon MAX_HOURS must be finite and positive, and
-    one pass of the profile at dt at most MAX_PASS_STEPS steps, or
-    ValidationError is raised before the first step. A looped run past
-    MAX_HOURS of simulated time raises RuntimeError; a run that is not
-    looped has no horizon. A looped profile whose held samples (all but the
-    last, which only closes the horizon) are all 0 W drains nothing, so no
-    mode can end it: that raises the same RuntimeError before the first step.
+    dt must be finite and positive, and one pass of the profile at dt at
+    most MAX_PASS_STEPS steps, or ValidationError is raised before the
+    first step. A looped run past MAX_HOURS of simulated time raises
+    RuntimeError; a run that is not looped has no horizon. A looped profile
+    whose held samples (all but the last, which only closes the horizon)
+    are all 0 W drains nothing, so no mode can end it: that raises the same
+    RuntimeError before the first step.
     """
     if dt is None:
         dt = default_dt(profile)
@@ -226,8 +217,6 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
             f"of the profile may take at most {MAX_PASS_STEPS:g} steps")
     if flow_stride < 1:
         raise ValidationError("flow_stride must be >= 1")
-    if not 0.0 < MAX_HOURS < math.inf:
-        raise ValidationError("max_hours must be finite and > 0")
     limit_s = MAX_HOURS * 3600.0 if loop_profile else math.inf
     if loop_profile and not profile.power[:-1].any():
         raise RuntimeError(f"a looped 0 W profile never ends: it would pass the "
@@ -461,15 +450,17 @@ def _fold(stats, series, skip: int):
 
 
 def run_time_constant_load(config: HybridConfig, load: float,
-                           initial_soc: float | None = None) -> RunTimeEstimate:
+                           initial_soc: float | None = None) -> float:
     """Analytic endurance at a constant load, in hours.
 
     Mirrors the simulator's policy closed-form: the fuel cell follows the
-    load up to its ceiling, the battery bridges the rest up to its power
-    bound until its floor, and the run ends when both are spent or when
-    what they leave unmet is more than UNMET_FRACTION of the demand; a
-    smaller shortfall does not end a run (see simulate). Battery charging
-    en route is not modeled, so start the pack where the simulation does
+    load up to its ceiling (the effective setpoint in hybrid mode, the
+    rated power in direct_fc mode, 0 W in battery_only mode whatever its
+    stack is rated), the battery bridges the rest up to its power bound
+    until its floor, and the run ends when both are spent or when what
+    they leave unmet is more than UNMET_FRACTION of the demand; a smaller
+    shortfall does not end a run (see simulate). Battery charging en
+    route is not modeled, so start the pack where the simulation does
     (default full).
     """
     if not 0.0 < load < math.inf:
@@ -482,26 +473,22 @@ def run_time_constant_load(config: HybridConfig, load: float,
     usable = ((initial_soc - battery.soc_min) * battery.capacity_wh
               * battery.discharge_efficiency)  # terminal Wh
     p_batt = battery.max_power_w
-    fuel = fuel_energy(config.tank)
+    if config.mode == MODE_HYBRID:
+        ceiling = config.effective_setpoint
+    elif config.mode == MODE_DIRECT:
+        ceiling = config.stack.rated_power
+    else:
+        ceiling = 0.0
 
-    if config.mode == MODE_BATTERY:
-        if bus - p_batt > slack:
-            return RunTimeEstimate(0.0, False)
-        return RunTimeEstimate(usable / min(bus, p_batt), bus <= p_batt + 1e-12)
-
-    ceiling = (config.effective_setpoint if config.mode == MODE_HYBRID
-               else config.stack.rated_power)
     stack = min(bus, ceiling)
     bridge = min(bus - stack, p_batt)  # the pack's share while both last
     if bus - stack - bridge > slack:
-        return RunTimeEstimate(0.0, False)
-    sustainable = bus <= ceiling + 1e-12
-    t_fuel = fuel / stack if stack > 0 else 0.0
+        return 0.0
+    t_fuel = fuel_energy(config.tank) / stack if stack > 0 else 0.0
     t_batt = usable / bridge if bridge > 0 else math.inf
     if t_batt <= t_fuel:  # the stack alone, if it carries the load
-        return RunTimeEstimate(t_fuel if bus - stack <= slack else t_batt,
-                               sustainable)
+        return t_fuel if bus - stack <= slack else t_batt
     hours = t_fuel
     if bus - p_batt <= slack:  # the pack alone
         hours += (usable - bridge * t_fuel) / min(bus, p_batt)
-    return RunTimeEstimate(hours, sustainable)
+    return hours

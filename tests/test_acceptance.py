@@ -75,11 +75,11 @@ def test_acceptance_4_oracle_equivalence(capsys):
     ok = True
     for cfg in configs:
         for load in loads:
-            est = run_time_constant_load(cfg, load)
+            hours = run_time_constant_load(cfg, load)
             profile = PowerProfile(times=np.array([0.0, 3600.0]),
                                    power=np.array([load, load]))
             res = simulate(cfg, profile, dt=dt, loop_profile=True)
-            ok &= abs(res.run_time - est.hours) * 3600.0 <= dt + 1e-6
+            ok &= abs(res.run_time - hours) * 3600.0 <= dt + 1e-6
     elapsed = time.perf_counter() - started
     ok &= elapsed < 30.0
     assert _report(capsys, 4, "closed-form oracle equivalence", ok)

@@ -264,8 +264,8 @@ def test_flat_load_run_time_is_the_closed_forms(
     config = supply(mode, fuel_wh, capacity_wh, power_w, rated, setpoint, tau=tau,
                     headroom=headroom, eta=eta, battery_eta=battery_eta,
                     soc_min=soc_min, soc_max=soc_max)
-    estimate = run_time_constant_load(config, load)
+    hours = run_time_constant_load(config, load)
     res = simulate(config, profile_of([0.0, 3600.0], [load, load]), dt=dt,
                    loop_profile=True)
     event(res.termination)
-    assert abs(res.run_time - estimate.hours) * 3600.0 <= dt + 1e-6
+    assert abs(res.run_time - hours) * 3600.0 <= dt + 1e-6

@@ -136,26 +136,23 @@ class TestSimulateOracles:
         # 45 Wh of fuel at a 45 W load is one hour; the 4.5 usable Wh
         # bridge another 0.1 h
         cfg = tiny_hybrid()
-        est = run_time_constant_load(cfg, 45.0)
-        assert math.isclose(est.hours, 1.1)
-        assert est.sustainable
+        hours = run_time_constant_load(cfg, 45.0)
+        assert math.isclose(hours, 1.1)
         res = simulate(cfg, flat(45.0), dt=1.0, loop_profile=True)
         assert res.termination == FUEL_EXHAUSTED
-        assert abs(res.run_time - est.hours) * 3600.0 <= 1.0 + 1e-6
+        assert abs(res.run_time - hours) * 3600.0 <= 1.0 + 1e-6
         assert res.soc_final <= cfg.battery.soc_min + 1e-9
 
     def test_battery_pack_runs_three_hours(self):
         cfg = presets.nimh_config()
-        est = run_time_constant_load(cfg, 16.0)
-        assert est.hours == 3.0
+        assert run_time_constant_load(cfg, 16.0) == 3.0
         res = simulate(cfg, flat(16.0), dt=1.0, loop_profile=True)
         assert res.termination == BATTERY_DEPLETED
         assert abs(res.run_time - 3.0) * 3600.0 <= 1.0 + 1e-6
 
     def test_direct_stack_overload_fails_fast(self):
         cfg = presets.direct_fc_config()
-        est = run_time_constant_load(cfg, 100.0)
-        assert est == (0.0, False)
+        assert run_time_constant_load(cfg, 100.0) == 0.0
         res = simulate(cfg, flat(100.0), dt=1.0, loop_profile=True)
         assert res.termination == UNMET_DEMAND
         assert res.run_time == 0.0
@@ -163,16 +160,15 @@ class TestSimulateOracles:
 
     def test_hybrid_preset_walk_average(self):
         cfg = presets.hybrid_config()
-        est = run_time_constant_load(cfg, 45.0)
+        hours = run_time_constant_load(cfg, 45.0)
         res = simulate(cfg, flat(45.0), dt=5.0, loop_profile=True)
-        assert abs(res.run_time - est.hours) * 3600.0 <= 5.0 + 1e-6
+        assert abs(res.run_time - hours) * 3600.0 <= 5.0 + 1e-6
 
     def test_empty_pack_runs_on_fuel_alone(self):
         # starting at the floor isolates the fuel term of the estimate
         cfg = presets.hybrid_config()
-        est = run_time_constant_load(cfg, 45.0,
-                                     initial_soc=cfg.battery.soc_min)
-        assert est.hours == 88.0
+        assert run_time_constant_load(cfg, 45.0,
+                                      initial_soc=cfg.battery.soc_min) == 88.0
         res = simulate(cfg, flat(45.0), dt=5.0, loop_profile=True,
                        initial_soc=cfg.battery.soc_min)
         assert res.termination == FUEL_EXHAUSTED
@@ -416,19 +412,12 @@ class TestStackLifeUnderflow:
 
 class TestInputValidation:
     """Non-finite or out-of-range run settings are rejected before the
-    first step; a NaN dt or horizon would otherwise loop forever."""
+    first step; a NaN dt would otherwise loop forever."""
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_dt(self, dt):
         with pytest.raises(ValidationError, match="dt"):
             simulate(presets.hybrid_config(), flat(45.0), dt=dt)
-
-    @pytest.mark.parametrize("loop", [False, True])
-    @pytest.mark.parametrize("max_hours", [math.nan, math.inf, 0.0, -1.0])
-    def test_max_hours(self, max_hours, loop, monkeypatch):
-        monkeypatch.setattr(simulator, "MAX_HOURS", max_hours)
-        with pytest.raises(ValidationError, match="max_hours"):
-            simulate(presets.hybrid_config(), flat(45.0), dt=1.0, loop_profile=loop)
 
     @pytest.mark.parametrize("loop", [False, True])
     @pytest.mark.parametrize("dt", [1e-300, 5e-324, 1e-8])
@@ -722,35 +711,43 @@ class TestLoopedRunMemory:
 class TestRunTimeConstantLoad:
     def test_battery_mode_halves_with_double_load(self):
         cfg = presets.nimh_config()
-        assert run_time_constant_load(cfg, 16.0).hours == 3.0
-        assert run_time_constant_load(cfg, 32.0).hours == 1.5
+        assert run_time_constant_load(cfg, 16.0) == 3.0
+        assert run_time_constant_load(cfg, 32.0) == 1.5
 
     def test_battery_mode_power_limit(self):
         # past the pack's 300 W bound the run goes on at that bound while
         # the shortfall is at most UNMET_FRACTION of the load, as simulate's
         cfg = presets.nimh_config()
         p_max = cfg.battery.max_power_w
-        assert run_time_constant_load(cfg, p_max).sustainable
-        assert run_time_constant_load(cfg, p_max + 1.0) == (48.0 / p_max, False)
-        assert run_time_constant_load(cfg, p_max * 1.02) == (0.0, False)
+        assert run_time_constant_load(cfg, p_max + 1.0) == 48.0 / p_max
+        assert run_time_constant_load(cfg, p_max * 1.02) == 0.0
         for load, ending in ((p_max + 1.0, BATTERY_DEPLETED),
                              (p_max * 1.02, UNMET_DEMAND)):
             res = simulate(cfg, flat(load), dt=1.0, loop_profile=True)
             assert res.termination == ending
-            assert abs(res.run_time - run_time_constant_load(cfg, load).hours) \
+            assert abs(res.run_time - run_time_constant_load(cfg, load)) \
                 * 3600.0 <= 1.0
 
+    @pytest.mark.parametrize("rated", [0.0, 90.0, 200.0])
+    @pytest.mark.parametrize("share", [None, 1.0, 1.01], ids=["16W", "bound", "1pct_over"])
+    def test_pack_horizon_ignores_its_stack(self, rated, share):
+        # a battery_only pack has no fuel path, so a 0 kg stack's rating
+        # carries nothing: 48 usable Wh at the load or the pack's 300 W bound
+        cfg = presets.nimh_config()
+        cfg = replace(cfg, stack=replace(cfg.stack, rated_power=rated))
+        p_max = cfg.battery.max_power_w
+        load = 16.0 if share is None else p_max * share
+        assert run_time_constant_load(cfg, load) == 48.0 / min(load, p_max)
+
     def test_hybrid_below_ceiling_sums_both_stores(self):
-        est = run_time_constant_load(presets.hybrid_config(), 45.0)
-        assert math.isclose(est.hours, 88.27)
-        assert est.sustainable
+        assert math.isclose(run_time_constant_load(presets.hybrid_config(), 45.0),
+                            88.27)
 
     def test_battery_limited_bridge(self):
         # deficit of 45 W drains the 12.15 usable Wh in 0.27 h, well
         # before the fuel runs down
-        est = run_time_constant_load(presets.hybrid_config(), 90.0)
-        assert math.isclose(est.hours, 0.27)
-        assert not est.sustainable
+        assert math.isclose(run_time_constant_load(presets.hybrid_config(), 90.0),
+                            0.27)
 
     def test_fuel_limited_bridge_then_battery(self):
         cfg = tiny_hybrid(fuel_wh=45.0, capacity_wh=100.0, power_w=300.0,
@@ -758,10 +755,8 @@ class TestRunTimeConstantLoad:
         cfg = HybridConfig(stack=cfg.stack,
                            battery=small_battery(100.0, 300.0, soc_min=0.0),
                            tank=cfg.tank, controller=cfg.controller)
-        est = run_time_constant_load(cfg, 50.0)
         # one hour of fuel at the 45 W ceiling, then 95 Wh left at 50 W
-        assert math.isclose(est.hours, 1.0 + 95.0 / 50.0)
-        assert not est.sustainable
+        assert math.isclose(run_time_constant_load(cfg, 50.0), 1.0 + 95.0 / 50.0)
 
     def test_nonpositive_load_rejected(self):
         with pytest.raises(ValidationError):

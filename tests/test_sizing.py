@@ -253,11 +253,11 @@ class TestInternalConsistency:
         for r, cfg in zip(presets.comparison_sizings(), presets.comparison_configs(),
                           strict=True):
             if r.mode == MODE_BATTERY:
-                est = run_time_constant_load(cfg, r.load_basis)
+                hours = run_time_constant_load(cfg, r.load_basis)
             else:
-                est = run_time_constant_load(cfg, r.load_basis,
-                                             initial_soc=cfg.battery.soc_min)
-            assert est.hours == r.run_time, r.label
+                hours = run_time_constant_load(cfg, r.load_basis,
+                                               initial_soc=cfg.battery.soc_min)
+            assert hours == r.run_time, r.label
 
 
 class TestSystemLife:
