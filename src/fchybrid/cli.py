@@ -2,7 +2,8 @@
 
 Subcommands: profile synth, profile stats, simulate, size, compare.
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 infeasible
-(including a looped simulation that passes its max_hours horizon).
+(including a looped simulation that passes the looped-run horizon
+MAX_HOURS, 1e+06 h).
 """
 
 from __future__ import annotations

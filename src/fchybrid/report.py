@@ -55,9 +55,7 @@ def _row_from_config(config: HybridConfig, peak_power: float,
     else:
         load = config.effective_setpoint * config.electronics.converter_efficiency
         density = config.tank.specific_energy_electric
-        capability = config.stack.rated_power
-        if config.battery.mass > 0:
-            capability += config.battery.max_power_w
+        capability = config.stack.rated_power + config.battery.max_power_w
         initial_soc = config.battery.soc_min
     if not 0.0 < load < math.inf:
         raise ValidationError("comparison load basis must be finite and > 0")

@@ -117,6 +117,15 @@ class HybridConfig:
         """fc_setpoint capped at the stack's rated power (fc_setpoint on a tie), W."""
         return min(self.controller.fc_setpoint, self.stack.rated_power)
 
+    @property
+    def stack_ceiling(self) -> float:
+        """Most the mode lets the stack deliver, W: the effective setpoint in
+        hybrid mode, the rating in direct_fc mode, 0 W in battery_only mode
+        whatever its stack is rated."""
+        if self.mode == MODE_HYBRID:
+            return self.effective_setpoint
+        return self.stack.rated_power if self.mode == MODE_DIRECT else 0.0
+
 
 @dataclass(slots=True)
 class SimulationResult:
@@ -220,13 +229,12 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     limit_s = MAX_HOURS * 3600.0 if loop_profile else math.inf
     if loop_profile and not profile.power[:-1].any():
         raise RuntimeError(f"a looped 0 W profile never ends: it would pass the "
-                           f"max_hours safety horizon ({MAX_HOURS:g} h)")
+                           f"looped-run horizon MAX_HOURS ({MAX_HOURS:g} h)")
 
     battery = config.battery
     tank = config.tank
     mode = config.mode
     is_hybrid = mode == MODE_HYBRID
-    is_direct = mode == MODE_DIRECT
     has_fuel_path = not (mode == MODE_BATTERY)
 
     dt_h = dt / 3600.0
@@ -236,9 +244,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     inv_eta = 1.0 / eta_conv
     cap_wh = battery.capacity_wh
     soc_floor = battery.soc_min
-    rated = config.stack.rated_power
-    setpoint = config.effective_setpoint
-    ceiling = setpoint if is_hybrid else rated
+    ceiling = config.stack_ceiling
     headroom = config.controller.trickle_headroom
     tau = config.controller.filter_time_constant
     alpha = dt / (tau + dt)
@@ -307,7 +313,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
             local = t
         if t > limit_s:
             raise RuntimeError(
-                f"simulation exceeded max_hours safety horizon ({MAX_HOURS:g} h)")
+                f"simulation exceeded the looped-run horizon MAX_HOURS ({MAX_HOURS:g} h)")
         hold = local + 1e-12
         while next_l[idx] <= hold:
             idx += 1
@@ -326,18 +332,16 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
 
         if is_hybrid:
             command = bus_demand + battery_charge_acceptance(battery, state, dt, headroom)
-            if command > setpoint:
-                command = setpoint
+            if command > ceiling:
+                command = ceiling
             # controller.suppression_filter written out: a call per step measured 5 % slower
             if filt is None:
                 filt = command
             else:
                 filt += alpha * (command - filt)
             fc_cmd = filt
-        elif is_direct:
-            fc_cmd = bus_demand if bus_demand < rated else rated
         else:
-            fc_cmd = 0.0
+            fc_cmd = bus_demand if bus_demand < ceiling else ceiling
 
         flow, state = dispatch_power(bus_demand, fc_cmd, headroom, battery,
                                      state, fuel_wh, dt, t)
@@ -411,7 +415,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         ripple = ripple_of(*_fold(folded, fc_series, max(start - stored_from, 0)))
 
     fc_damage = 0.0
-    if has_fuel_path and fc_on_h > 0.0:
+    if fc_on_h > 0.0:
         # a large enough ripple drives the life law's exponential to 0.0
         life = fc_life(config.stack.cell_voltage, ripple, config.degradation)
         fc_damage = fc_on_h / life if life > 0.0 else math.inf
@@ -454,33 +458,24 @@ def run_time_constant_load(config: HybridConfig, load: float,
     """Analytic endurance at a constant load, in hours.
 
     Mirrors the simulator's policy closed-form: the fuel cell follows the
-    load up to its ceiling (the effective setpoint in hybrid mode, the
-    rated power in direct_fc mode, 0 W in battery_only mode whatever its
-    stack is rated), the battery bridges the rest up to its power bound
-    until its floor, and the run ends when both are spent or when what
-    they leave unmet is more than UNMET_FRACTION of the demand; a smaller
-    shortfall does not end a run (see simulate). Battery charging en
-    route is not modeled, so start the pack where the simulation does
-    (default full).
+    load up to the configuration's stack_ceiling, the battery bridges the
+    rest up to its power bound until its floor, and the run ends when both
+    are spent or when what they leave unmet is more than UNMET_FRACTION of
+    the demand; a smaller shortfall does not end a run (see simulate).
+    Battery charging en route is not modeled, so start the pack where the
+    simulation does (default full); simulate's ValidationError refuses an
+    initial_soc outside [soc_min, soc_max] here too.
     """
     if not 0.0 < load < math.inf:
         raise ValidationError("load must be finite and > 0")
     battery = config.battery
     bus = load / config.electronics.converter_efficiency
     slack = UNMET_FRACTION * bus  # W of shortfall a run carries on with
-    if initial_soc is None:
-        initial_soc = battery.soc_max
+    initial_soc = BatteryState.fresh(battery, initial_soc).soc
     usable = ((initial_soc - battery.soc_min) * battery.capacity_wh
               * battery.discharge_efficiency)  # terminal Wh
     p_batt = battery.max_power_w
-    if config.mode == MODE_HYBRID:
-        ceiling = config.effective_setpoint
-    elif config.mode == MODE_DIRECT:
-        ceiling = config.stack.rated_power
-    else:
-        ceiling = 0.0
-
-    stack = min(bus, ceiling)
+    stack = min(bus, config.stack_ceiling)
     bridge = min(bus - stack, p_batt)  # the pack's share while both last
     if bus - stack - bridge > slack:
         return 0.0

@@ -273,19 +273,18 @@ def config_from_sizing(result: SizingResult, *,
                        battery_template: BatterySpec | None = None) -> HybridConfig:
     """Build a simulatable configuration realizing a sizing result.
 
-    Every stack runs at 0.8 V, and a pack's weighs 0 kg. Both fuel modes
-    get fc_setpoint = min(result.load_basis, the stack's rated power), the
-    effective setpoint. A direct stack follows the load up to its rating,
-    so in direct_fc mode only the comparison reads the setpoint, as its
-    row's load basis.
+    Every stack runs at 0.8 V, and a pack's weighs 0 kg. Every mode gets
+    fc_setpoint = min(result.load_basis, the stack's rated power), the
+    effective setpoint, which is 0 W for a pack's 0 W stack. A direct
+    stack follows the load up to its rating, so in direct_fc mode only the
+    comparison reads the setpoint, as its row's load basis.
     """
     if battery_template is None:
         battery_template = default_battery_template(constants)
     stack = FuelCellStackSpec.from_mass(
         result.stack_mass, cell_voltage=_CELL_VOLTAGE,
         specific_power=constants.stack_specific_power)
-    setpoint = (0.0 if result.mode == MODE_BATTERY
-                else min(result.load_basis, stack.rated_power))
+    setpoint = min(result.load_basis, stack.rated_power)
     return HybridConfig(
         stack=stack, battery=battery_template.scaled(result.battery_mass),
         tank=FuelTankSpec(fuel_mass=result.fuel_mass,

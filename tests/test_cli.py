@@ -230,6 +230,14 @@ class TestCompareCommand:
         header, _, _, direct, _ = TABLE_CSV.splitlines()
         assert capsys.readouterr().out.splitlines() == [header, direct]
 
+    def test_fuel_supply_at_a_zero_setpoint_exits_2(self, tmp_path, capsys):
+        ini = tmp_path / "idle.ini"
+        ini.write_text("[controller]\nfc_setpoint_w = 0\n")
+        assert main(["compare", "--config", str(ini)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: comparison load basis must be finite and > 0\n"
+
     def test_label_with_a_comma_stays_one_cell(self, tmp_path, capsys):
         ini = tmp_path / "pack.ini"
         ini.write_text("[system]\nmode = battery_only\n[fuel_cell]\nmass = 0\n"
@@ -319,14 +327,14 @@ class TestExitCodes:
         assert captured.err.startswith("error: --flows")
 
     def test_looped_run_that_never_ends(self, tmp_path, capsys):
-        # at 0 W nothing drains, so only the max_hours horizon ends the run
+        # at 0 W nothing drains, so only the MAX_HOURS horizon ends the run
         profile = flat_profile_file(tmp_path, power=0.0)
         assert main(["simulate", "--profile", str(profile), "--loop",
                      "--dt", "100000"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("infeasible:")
-        assert "max_hours" in captured.err
+        assert "MAX_HOURS" in captured.err
 
     @pytest.mark.parametrize("make_config", [presets.hybrid_config,
                                              presets.direct_fc_config,
@@ -341,7 +349,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("infeasible:")
-        assert "max_hours" in captured.err
+        assert "MAX_HOURS" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["compare", "--table1", "--battery-load", "nan"],

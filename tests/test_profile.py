@@ -141,6 +141,13 @@ class TestSynthesize:
         assert p.times[-1] == 1.05
         assert (np.diff(p.times) > 0).all()
 
+    def test_step_past_the_horizon_holds_one_sample(self):
+        # no grid step falls inside the 1 s gait, so the endpoint is appended
+        g = GaitParams(mech_peak=10.0, duration=1.0)
+        p = synthesize_walk_profile(g, step=1e10)
+        assert p.times.tolist() == [0.0, 1.0]
+        assert p.power[0] == g.stride_power
+
     def test_step_validation(self):
         # NaN fell through to numpy's ValueError, inf to a 1-sample profile
         for step in (0.0, -1.0, math.nan, math.inf, -math.inf):

@@ -120,6 +120,14 @@ class TestCompare:
         with pytest.raises(ValidationError, match="finite and > 0"):
             compare([presets.nimh_config()], battery_load=load)
 
+    def test_fuel_supply_at_a_zero_setpoint_rejected(self):
+        # a fuel supply is rated at its effective setpoint, here 0 W
+        cfg = presets.hybrid_config()
+        cfg = replace(cfg, controller=replace(cfg.controller, fc_setpoint=0.0))
+        with pytest.raises(ValidationError,
+                           match="comparison load basis must be finite and > 0"):
+            compare([cfg])
+
 
 class TestEmitComparison:
     def test_reference_table_csv(self):

@@ -41,8 +41,8 @@ from fchybrid.simulator import (
 )
 
 RUN = settings(derandomize=True, deadline=None, database=None, max_examples=100)
-# a looped run still going after this many steps passes its max_hours
-# horizon (simulator.MAX_HOURS), which each example lowers to match
+# a looped run still going after this many steps passes the looped-run
+# horizon simulator.MAX_HOURS, which each example lowers to match
 MAX_STEPS = 50_000
 FUEL_WH_PER_KG = 4950.0
 
@@ -187,8 +187,8 @@ def test_run_invariants(run):
             res = simulate(config, profile, dt=dt, loop_profile=looped,
                            initial_soc=initial_soc, record_flows=True, flow_stride=1)
     except RuntimeError as exc:  # a looped run that nothing ends
-        event("passes max_hours" if calls else "raises before the first step")
-        assert looped and "max_hours" in str(exc)
+        event("passes MAX_HOURS" if calls else "raises before the first step")
+        assert looped and "MAX_HOURS" in str(exc)
         assert calls == [] or len(calls) >= MAX_STEPS
         return
 

@@ -119,9 +119,24 @@ class TestHybridConfig:
         cfg = HybridConfig(stack=FuelCellStackSpec(rated_power=rated, mass=0.3),
                            battery=NO_BATTERY, tank=FuelTankSpec(fuel_mass=0.1),
                            controller=ControllerParams(fc_setpoint=setpoint))
-        got = cfg.effective_setpoint
-        assert got == expected
-        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+        # a hybrid's stack ceiling is its effective setpoint
+        for got in (cfg.effective_setpoint, cfg.stack_ceiling):
+            assert got == expected
+            assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+    def test_direct_stack_ceiling_is_the_rating(self):
+        cfg = HybridConfig(stack=stack(90.0), battery=NO_BATTERY,
+                           tank=FuelTankSpec(fuel_mass=0.1),
+                           controller=ControllerParams(fc_setpoint=30.0),
+                           mode=MODE_DIRECT)
+        assert cfg.stack_ceiling == 90.0
+
+    def test_pack_stack_ceiling_is_zero_whatever_its_rating(self):
+        cfg = HybridConfig(stack=FuelCellStackSpec(rated_power=90.0, mass=0.0),
+                           battery=small_battery(48.0, 300.0),
+                           tank=FuelTankSpec(fuel_mass=0.0), mode=MODE_BATTERY)
+        assert cfg.stack_ceiling == 0.0
+        assert math.copysign(1.0, cfg.stack_ceiling) == 1.0
 
     def test_total_mass(self):
         cfg = presets.hybrid_config()
@@ -256,7 +271,7 @@ class TestTerminations:
         # 1 W would take the preset's 0.8 kg of fuel about 4,000 h; the
         # horizon, lowered to 3.6 s, stops it on its fifth step
         monkeypatch.setattr(simulator, "MAX_HOURS", 0.001)
-        with pytest.raises(RuntimeError, match="max_hours"):
+        with pytest.raises(RuntimeError, match="MAX_HOURS"):
             simulate(presets.hybrid_config(), flat(1.0, duration=60.0), dt=1.0,
                      loop_profile=True)
 
@@ -277,7 +292,7 @@ class TestTerminations:
             return dispatch_power(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "dispatch_power", counting_dispatch)
-        with pytest.raises(RuntimeError, match="max_hours"):
+        with pytest.raises(RuntimeError, match="MAX_HOURS"):
             simulate(make_config(), profile, dt=1.0, loop_profile=True)
         assert calls == []
 
@@ -518,6 +533,38 @@ class TestStepPathContract:
         self.check(calls, cfg.mode, res)
         assert res.flows == calls["dispatched"][::stride]
 
+    @pytest.mark.parametrize("make_config", [presets.direct_fc_config,
+                                             presets.nimh_config],
+                             ids=[MODE_DIRECT, MODE_BATTERY])
+    def test_stack_command_is_the_demand_up_to_the_ceiling(self, monkeypatch,
+                                                           make_config):
+        # a gait with a 200 W spike above the direct stack's 90 W rating,
+        # and stretches of -0.0 W and 0 W; the pack's 0 kg stack commands 0 W
+        cfg = make_config()
+        walk = gait(20.0)
+        power = walk.power.copy()
+        for start, level in ((4.0, 200.0), (10.0, -0.0), (12.0, 0.0)):
+            power[(walk.times >= start) & (walk.times < start + 0.5)] = level
+        profile = PowerProfile(times=walk.times, power=power)
+        dispatched = []
+        dispatch_power = simulator.dispatch_power
+
+        def recording_dispatch(demand, fc_command, *args):
+            dispatched.append((demand, fc_command))
+            return dispatch_power(demand, fc_command, *args)
+
+        monkeypatch.setattr(simulator, "dispatch_power", recording_dispatch)
+        res = simulate(cfg, profile, dt=0.05)
+        assert res.termination == PROFILE_ENDED
+        assert len(dispatched) == res.steps
+        demands = [demand for demand, _ in dispatched]
+        assert max(demands) > 90.0
+        assert {math.copysign(1.0, d) for d in demands if d == 0.0} == {-1.0, 1.0}
+        for demand, command in dispatched:
+            expected = min(demand, 90.0) if cfg.mode == MODE_DIRECT else 0.0
+            assert command == expected
+            assert math.copysign(1.0, command) == math.copysign(1.0, expected)
+
 
 def lossy_hybrid():
     """Converter and charge losses, partial trickle headroom, a fast filter."""
@@ -683,6 +730,38 @@ class TestRippleContract:
         assert math.isclose(res.ripple, ripple_of(*window_stats(series[40:last])),
                             rel_tol=1e-12)
 
+    def test_empty_final_window_keeps_the_folded_stats(self, monkeypatch):
+        # 20,000 steps a pass and fuel for three passes plus half a step:
+        # the third wrap folds passes two and three, then the tank is short
+        # of the next step, so the last fold sees an empty window
+        cfg = presets.direct_fc_config()
+        profile, dt = gait(200.0), 0.01
+        once = simulate(cfg, profile, dt=dt)
+        pass_wh = once.energy_delivered / cfg.electronics.converter_efficiency
+        fuel_wh = 3 * pass_wh + 0.5 * profile.power[0] * dt / 3600.0
+        cfg = replace(cfg, tank=replace(
+            cfg.tank, fuel_mass=fuel_wh / cfg.tank.specific_energy_electric))
+        folds = []
+        fold = simulator._fold
+
+        def counting_fold(stats, series, skip):
+            folds.append(len(series) - skip)
+            return fold(stats, series, skip)
+
+        monkeypatch.setattr(simulator, "_fold", counting_fold)
+        res = simulate(cfg, profile, dt=dt, loop_profile=True, record_flows=True,
+                       flow_stride=1)
+        first = once.steps  # P1
+        assert res.termination == FUEL_EXHAUSTED
+        assert first == 20_000 and res.steps == 3 * first
+        assert folds == [2 * first, 0]
+        series = np.array([f.fc_output for f in res.flows])
+        assert series.min() > 0.0  # every step full: L is the whole run
+        assert math.isclose(res.ripple, ripple_of(*window_stats(series[first:])),
+                            rel_tol=1e-12)
+        # (max - min) / mean of a 60 W stride over a 40 W base at 0.6 duty
+        assert math.isclose(res.ripple, (60.0 - 40.0) / 52.0, rel_tol=1e-12)
+
 
 class TestLoopedRunMemory:
     """A looped run stores its stack output only until it folds it, so its
@@ -766,3 +845,11 @@ class TestRunTimeConstantLoad:
     def test_load_outside_finite_positive_rejected(self, load):
         with pytest.raises(ValidationError, match="finite and > 0"):
             run_time_constant_load(presets.hybrid_config(), load)
+
+    @pytest.mark.parametrize("soc", [1.5, math.nan, -1.0])
+    def test_refuses_the_initial_soc_simulate_refuses(self, soc):
+        cfg = presets.hybrid_config()
+        for rate in (lambda: run_time_constant_load(cfg, 45.0, initial_soc=soc),
+                     lambda: simulate(cfg, flat(45.0), dt=1.0, initial_soc=soc)):
+            with pytest.raises(ValidationError, match="initial soc outside"):
+                rate()

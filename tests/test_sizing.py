@@ -22,6 +22,7 @@ from fchybrid.simulator import (
     MODE_BATTERY,
     MODE_DIRECT,
     MODE_HYBRID,
+    default_dt,
     run_time_constant_load,
     simulate,
 )
@@ -376,6 +377,12 @@ class TestEvaluateSetpoint:
         with pytest.raises(ValidationError, match="dt must be finite and > 0"):
             evaluate_setpoint(flat_profile(45.0), INPUTS, 45.0, dt=dt)
         assert simulations == []
+
+    def test_dt_left_out_is_the_default_dt(self):
+        profile = flat_profile(45.0, duration=60.0)
+        assert default_dt(profile) == 1.0
+        assert (evaluate_setpoint(profile, INPUTS, 45.0)
+                == evaluate_setpoint(profile, INPUTS, 45.0, dt=1.0))
 
     def test_negative_setpoint_rejected(self):
         with pytest.raises(ValidationError):
