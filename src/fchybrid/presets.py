@@ -30,7 +30,6 @@ from .simulator import HybridConfig
 
 MASS_BUDGET_KG = 1.2
 PEAK_POWER_W = 250.0
-BASE_LOAD_W = 40.0
 WALK_AVERAGE_W = 45.0
 PACK_COMPARISON_LOAD_W = 16.0  # stock 48 Wh pack over its 3 h endurance
 

@@ -184,7 +184,7 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     unmet); that step counts in full.
 
     Flows are recorded every flow_stride-th step when record_flows is
-    set. Decimation keeps logs small without touching the integration.
+    set; flow_stride must be a finite whole number >= 1. Decimation keeps logs small without touching the integration.
 
     ripple is (max - min) / mean of the stack output over a steady window,
     through ``controller.ripple_of``. A full step is one whose stack
@@ -224,8 +224,8 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
         raise ValidationError(
             f"dt must be >= {profile.duration / MAX_PASS_STEPS:g} s: one pass "
             f"of the profile may take at most {MAX_PASS_STEPS:g} steps")
-    if flow_stride < 1:
-        raise ValidationError("flow_stride must be >= 1")
+    if not (1 <= flow_stride < math.inf and flow_stride % 1 == 0):
+        raise ValidationError("flow_stride must be a whole number >= 1")
     limit_s = MAX_HOURS * 3600.0 if loop_profile else math.inf
     if loop_profile and not profile.power[:-1].any():
         raise RuntimeError(f"a looped 0 W profile never ends: it would pass the "

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import InfeasibleError, ValidationError, require_finite
 from .powertrain import BatterySpec, FuelCellStackSpec, FuelTankSpec, \
-    ElectronicsSpec, fc_life
+    ElectronicsSpec, fc_life, fuel_energy
 from .profile import PowerProfile, profile_stats
 from .simulator import (
     HybridConfig,
@@ -142,39 +142,54 @@ def supply_label(mode: str, chemistry: str = "") -> str:
     return "fuel cell hybrid" if mode == MODE_HYBRID else "fuel cell"
 
 
+def _fuel_supply(inputs: SizingInputs, mode: str, stack_mass: float,
+                 battery_mass: float, electronics_mass: float,
+                 system_life: float, peak_capability: float,
+                 over_budget: str, warnings: list[str]) -> SizingResult:
+    """A fuel supply whose fuel takes what its parts leave of the budget.
+
+    Parts over the budget leave no fuel and an infeasible result, whose
+    first warning is over_budget; the given warnings follow it.
+    """
+    c = inputs.constants
+    fuel_mass = inputs.mass_budget - stack_mass - battery_mass - electronics_mass
+    feasible = fuel_mass >= -1e-12
+    if not feasible:
+        warnings.insert(0, over_budget)
+    fuel_mass = max(fuel_mass, 0.0)
+    fuel_wh = fuel_mass * c.fuel_specific_energy
+    run_time = fuel_wh / inputs.steady_power if inputs.steady_power > 0 else math.inf
+    return SizingResult(
+        mode=mode,
+        stack_mass=stack_mass,
+        battery_mass=battery_mass,
+        fuel_mass=fuel_mass,
+        electronics_mass=electronics_mass,
+        run_time=run_time,
+        system_life=system_life,
+        energy_density=c.fuel_specific_energy,
+        system_energy_density=((fuel_wh + battery_mass * c.battery_specific_energy)
+                               / inputs.mass_budget),
+        load_basis=inputs.steady_power,
+        peak_capability=peak_capability,
+        feasible=feasible,
+        label=supply_label(mode),
+        warnings=warnings,
+    )
+
+
 def size_hybrid(inputs: SizingInputs) -> SizingResult:
     """Allocate stack to the steady draw, battery to the peak, fuel last."""
     c = inputs.constants
     stack_mass = _to_gram(inputs.steady_power / c.stack_specific_power)
     battery_mass = _to_gram(inputs.peak_power / c.battery_specific_power)
-    fuel_mass = inputs.mass_budget - stack_mass - battery_mass - c.electronics_mass
-    warnings: list[str] = []
-    feasible = fuel_mass >= -1e-12
-    if not feasible:
-        warnings.append(
-            f"stack, battery, and electronics need "
-            f"{stack_mass + battery_mass + c.electronics_mass:.3f} kg, "
-            f"over the {inputs.mass_budget:.3f} kg budget")
-    fuel_mass = max(fuel_mass, 0.0)
-    fuel_wh = fuel_mass * c.fuel_specific_energy
-    run_time = fuel_wh / inputs.steady_power if inputs.steady_power > 0 else math.inf
-    battery_wh = battery_mass * c.battery_specific_energy
-    return SizingResult(
-        mode=MODE_HYBRID,
-        stack_mass=stack_mass,
-        battery_mass=battery_mass,
-        fuel_mass=fuel_mass,
-        electronics_mass=c.electronics_mass,
-        run_time=run_time,
-        system_life=fc_life(_CELL_VOLTAGE),
-        energy_density=c.fuel_specific_energy,
-        system_energy_density=(fuel_wh + battery_wh) / inputs.mass_budget,
-        load_basis=inputs.steady_power,
-        peak_capability=inputs.steady_power + battery_mass * c.battery_specific_power,
-        feasible=feasible,
-        label=supply_label(MODE_HYBRID),
-        warnings=warnings,
-    )
+    parts = stack_mass + battery_mass + c.electronics_mass
+    return _fuel_supply(
+        inputs, MODE_HYBRID, stack_mass, battery_mass, c.electronics_mass,
+        fc_life(_CELL_VOLTAGE),
+        inputs.steady_power + battery_mass * c.battery_specific_power,
+        f"stack, battery, and electronics need {parts:.3f} kg, "
+        f"over the {inputs.mass_budget:.3f} kg budget", [])
 
 
 def size_direct_fc(inputs: SizingInputs) -> SizingResult:
@@ -187,33 +202,12 @@ def size_direct_fc(inputs: SizingInputs) -> SizingResult:
     c = inputs.constants
     stack_mass = _to_gram(_STACK_FACTOR * inputs.steady_power / c.stack_specific_power)
     rated = stack_mass * c.stack_specific_power
-    fuel_mass = inputs.mass_budget - stack_mass
-    warnings: list[str] = []
-    feasible = fuel_mass >= -1e-12
-    if not feasible:
-        warnings.append(f"stack alone ({stack_mass:.3f} kg) exceeds the budget")
-    fuel_mass = max(fuel_mass, 0.0)
-    if rated < inputs.peak_power:
-        warnings.append(
-            f"stack rated {rated:g} W cannot meet {inputs.peak_power:g} W peaks")
-    fuel_wh = fuel_mass * c.fuel_specific_energy
-    run_time = fuel_wh / inputs.steady_power if inputs.steady_power > 0 else math.inf
-    return SizingResult(
-        mode=MODE_DIRECT,
-        stack_mass=stack_mass,
-        battery_mass=0.0,
-        fuel_mass=fuel_mass,
-        electronics_mass=0.0,
-        run_time=run_time,
-        system_life=fc_life(_CELL_VOLTAGE, _UNBUFFERED_RIPPLE),
-        energy_density=c.fuel_specific_energy,
-        system_energy_density=fuel_wh / inputs.mass_budget,
-        load_basis=inputs.steady_power,
-        peak_capability=rated,
-        feasible=feasible,
-        label=supply_label(MODE_DIRECT),
-        warnings=warnings,
-    )
+    warnings = ([f"stack rated {rated:g} W cannot meet {inputs.peak_power:g} W peaks"]
+                if rated < inputs.peak_power else [])
+    return _fuel_supply(
+        inputs, MODE_DIRECT, stack_mass, 0.0, 0.0,
+        fc_life(_CELL_VOLTAGE, _UNBUFFERED_RIPPLE), rated,
+        f"stack alone ({stack_mass:.3f} kg) exceeds the budget", warnings)
 
 
 def size_battery_only(template: BatterySpec, mass_budget: float,
@@ -368,7 +362,7 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     elif not 0.0 < dt < math.inf:
         raise ValidationError("dt must be finite and > 0")
     sized, config = _supply(inputs, setpoint)
-    fuel_wh = sized.fuel_mass * inputs.constants.fuel_specific_energy
+    fuel_wh = fuel_energy(config.tank)
     if (not sized.feasible
             or fuel_wh < config.effective_setpoint * (profile.duration + dt) / 3600.0):
         return SetpointEvaluation(setpoint, 0.0, 0.0, 0.0, 0.0, False,

@@ -66,6 +66,8 @@ class TestPowerProfile:
         assert a == make([0.0, 1.0], [1.0, 2.0])
         assert a != make([0.0, 1.0], [1.0, 3.0])
         assert a != make([0.0, 2.0], [1.0, 2.0])
+        assert a.__eq__(3) is NotImplemented
+        assert (a == "x") is False
 
 
 class TestGaitParams:

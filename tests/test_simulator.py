@@ -403,15 +403,22 @@ class TestFlowRecording:
         assert res.flows == []
 
     def test_stride_decimation(self):
-        res = simulate(presets.hybrid_config(), flat(45.0, duration=100.0),
-                       dt=1.0, record_flows=True, flow_stride=10)
-        assert res.steps == 100
-        assert len(res.flows) == 10
-        assert [f.time for f in res.flows] == [10.0 * k for k in range(10)]
+        for stride in (10, 10.0):
+            res = simulate(presets.hybrid_config(), flat(45.0, duration=100.0),
+                           dt=1.0, record_flows=True, flow_stride=stride)
+            assert res.steps == 100
+            assert len(res.flows) == 10
+            assert [f.time for f in res.flows] == [10.0 * k for k in range(10)]
 
     def test_stride_validation(self):
         with pytest.raises(ValidationError):
             simulate(presets.hybrid_config(), flat(45.0), flow_stride=0)
+        # a stride that is not a finite whole number would record step 0
+        # and then never meet the step counter again
+        for stride in (2.5, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="flow_stride"):
+                simulate(presets.hybrid_config(), flat(45.0), record_flows=True,
+                         flow_stride=stride)
 
 
 class TestStackLifeUnderflow:

@@ -260,6 +260,43 @@ class TestInternalConsistency:
                                                initial_soc=cfg.battery.soc_min)
             assert hours == r.run_time, r.label
 
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(allocate=st.sampled_from([size_hybrid, size_direct_fc]),
+           budget=st.floats(min_value=0.01, max_value=2.5),
+           steady=st.floats(min_value=0.0, max_value=300.0),
+           extra_peak=st.floats(min_value=0.0, max_value=2000.0),
+           electronics=st.floats(min_value=0.0, max_value=0.3))
+    @example(size_hybrid, 0.4, 45.0, 205.0, 0.115)  # parts exactly the budget
+    @example(size_direct_fc, 0.3, 45.0, 205.0, 0.115)
+    @example(size_direct_fc, 0.29, 45.0, 0.0, 0.115)
+    @example(size_hybrid, 1.2, 0.0, 250.0, 0.115)
+    @example(size_direct_fc, 1.2, 0.0, 0.0, 0.115)
+    def test_fuel_takes_what_the_parts_leave(self, allocate, budget, steady,
+                                             extra_peak, electronics):
+        c = SizingConstants(electronics_mass=electronics)
+        peak = steady + extra_peak
+        r = allocate(SizingInputs(budget, steady, peak, c))
+        parts = r.stack_mass + r.battery_mass + r.electronics_mass
+        event(f"{r.mode} feasible={r.feasible}")
+        if r.feasible:
+            assert abs(parts + r.fuel_mass - budget) <= 1e-12
+        else:
+            assert parts > budget
+            assert r.fuel_mass == 0.0
+            assert "budget" in r.warnings[0]
+        if steady > 0:
+            assert r.run_time == r.fuel_mass * c.fuel_specific_energy / steady
+        else:
+            assert r.run_time == math.inf
+        peak_warnings = [w for w in r.warnings if "peak" in w]
+        if r.mode == MODE_DIRECT:
+            assert bool(peak_warnings) == (r.peak_capability < peak)
+            if peak_warnings:
+                assert peak_warnings == r.warnings[-1:]
+        else:
+            assert peak_warnings == []
+        assert len(r.warnings) == (not r.feasible) + len(peak_warnings)
+
 
 class TestSystemLife:
     def test_battery_config_needs_run_time(self):
