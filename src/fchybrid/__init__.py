@@ -42,7 +42,6 @@ from .sizing import (
     SizingConstants,
     SizingInputs,
     SizingResult,
-    config_from_sizing,
     optimize_setpoint,
     size_battery_only,
     size_direct_fc,
@@ -78,7 +77,6 @@ __all__ = [
     "battery_charge_acceptance",
     "battery_step",
     "compare",
-    "config_from_sizing",
     "emit",
     "emit_profile",
     "fc_efficiency",

@@ -28,13 +28,14 @@ from .errors import ValidationError, require_finite
 
 IDEAL_CELL_VOLTAGE = 1.23  # V, reversible cell potential
 STACK_SPECIFIC_POWER = 300.0  # W/kg, rated output per stack mass
+FUEL_SPECIFIC_ENERGY = 4950.0  # Wh/kg of fuel, delivered as electricity
 
 
 @dataclass(frozen=True)
 class FuelCellStackSpec:
     rated_power: float  # W
     mass: float  # kg
-    cell_voltage: float = 0.8  # V, regulated operating point
+    cell_voltage: float = 0.8  # V, every stack's regulated operating point
     ideal_voltage: float = IDEAL_CELL_VOLTAGE  # V
     specific_power: float = STACK_SPECIFIC_POWER  # W/kg
 
@@ -243,7 +244,7 @@ def battery_charge_acceptance(spec: BatterySpec, state: BatteryState, dt: float,
 @dataclass(frozen=True)
 class FuelTankSpec:
     fuel_mass: float  # kg
-    specific_energy_electric: float = 4950.0  # Wh/kg delivered as electricity
+    specific_energy_electric: float = FUEL_SPECIFIC_ENERGY  # Wh/kg
 
     def __post_init__(self):
         require_finite(self)

@@ -20,7 +20,6 @@ from .sizing import (
     SizingConstants,
     SizingInputs,
     SizingResult,
-    config_from_sizing,
     default_battery_template,
     size_battery_only,
     size_direct_fc,
@@ -77,23 +76,19 @@ def comparison_sizings() -> list[SizingResult]:
 
 
 def nimh_config() -> HybridConfig:
-    return config_from_sizing(nimh_sizing(), constants=CONSTANTS,
-                              battery_template=NIMH_TEMPLATE)
+    return nimh_sizing().config
 
 
 def liion_config() -> HybridConfig:
-    return config_from_sizing(liion_sizing(), constants=CONSTANTS,
-                              battery_template=LIION_TEMPLATE)
+    return liion_sizing().config
 
 
 def direct_fc_config() -> HybridConfig:
-    return config_from_sizing(direct_fc_sizing(), constants=CONSTANTS,
-                              battery_template=NANO_TEMPLATE)
+    return direct_fc_sizing().config
 
 
 def hybrid_config() -> HybridConfig:
-    return config_from_sizing(hybrid_sizing(), constants=CONSTANTS,
-                              battery_template=NANO_TEMPLATE)
+    return hybrid_sizing().config
 
 
 def comparison_configs() -> list[HybridConfig]:

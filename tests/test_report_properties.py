@@ -99,7 +99,8 @@ def _records(cls, **special):
 # text cells hold commas, quotes, line breaks and any other character
 TEXT = st.text(max_size=12) | st.sampled_from(['a,b', '"', '"q"', 'x\ny', 'x\r\ny', '\r'])
 SIZINGS = _records(SizingResult, mode=st.sampled_from(MODES), label=TEXT,
-                   feasible=st.booleans(), warnings=st.lists(TEXT, max_size=3))
+                   feasible=st.booleans(), warnings=st.lists(TEXT, max_size=3),
+                   config=st.sampled_from(presets.comparison_configs()))
 ROWS = _records(ComparisonRow, label=TEXT, feasible_at_peak=st.booleans(),
                 stack_mass=st.none() | st.floats(), fuel_mass=st.none() | st.floats())
 SIMULATIONS = _records(
@@ -113,8 +114,8 @@ REPORTS = st.one_of(SIZINGS, st.lists(SIZINGS, max_size=3), st.lists(ROWS, max_s
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(REPORTS)
 @example(SizingResult("hybrid", 0.15, 0.135, 0.8, 0.115, math.inf, math.nan, 4950.0,
-                      3300.0, 45.0, 295.0, True, label='a "b", c',
-                      warnings=["x,\ny", ""]))
+                      3300.0, 45.0, 295.0, True, presets.hybrid_config(),
+                      label='a "b", c', warnings=["x,\ny", ""]))
 @example([ComparisonRow("NiMH, 7-cell battery", None, None, 40.0, -math.inf, 3.0,
                         16.0, False)])
 @example([])

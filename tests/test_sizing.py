@@ -29,7 +29,6 @@ from fchybrid.simulator import (
 from fchybrid.sizing import (
     SizingConstants,
     SizingInputs,
-    config_from_sizing,
     default_battery_template,
     evaluate_setpoint,
     optimize_setpoint,
@@ -44,6 +43,9 @@ INPUTS = SizingInputs(mass_budget=1.2, steady_power=45.0, peak_power=250.0)
 WALK = GaitParams(base_load=40.0, gait_period=1.0, stride_duty=0.5,
                   mech_peak=5.0, duration=60.0)
 REFINE = 0.1 * 1e-3  # the search's bisection width, 1e-4 W
+# a pack of each chemistry the tests size: the two presets and a buffer pack
+PACKS = [presets.NIMH_TEMPLATE, presets.LIION_TEMPLATE,
+         replace(default_battery_template(), chemistry="LiFePO4")]
 
 
 def flat_profile(power=45.0, duration=600.0):
@@ -123,7 +125,7 @@ class TestSizeHybrid:
         assert r.battery_mass == 0.135
         assert r.electronics_mass == 0.115
         assert r.fuel_mass == 0.8
-        assert r.total_mass == 1.2
+        assert r.config.total_mass == 1.2
         assert r.run_time == 88.0
         assert r.system_life == 26280.0
         assert r.energy_density == 4950.0
@@ -150,6 +152,12 @@ class TestSizeHybrid:
         assert r.fuel_mass == 0.0
         assert len(r.warnings) == 1
         assert "budget" in r.warnings[0]
+
+    def test_part_too_heavy_for_a_float_is_rejected(self):
+        # 1e10 W at 1e-300 W/kg is a stack of more than the largest float
+        c = SizingConstants(stack_specific_power=1e-300)
+        with pytest.raises(ValidationError, match="finite"):
+            size_hybrid(SizingInputs(1.2, 1e10, 1e10, c))
 
     def test_fuel_grows_with_budget(self):
         rng = np.random.default_rng(11)
@@ -235,14 +243,15 @@ class TestSupplyLabel:
     def test_pack_row_names_its_chemistry(self, chemistry):
         template = replace(presets.NIMH_TEMPLATE, chemistry=chemistry)
         sized = size_battery_only(template, 1.2, 16.0)
-        row = compare([config_from_sizing(sized, battery_template=template)])[0]
+        row = compare([sized.config])[0]
         assert sized.label == row.label == f"{chemistry} battery"
 
     @pytest.mark.parametrize("allocate", [size_hybrid, size_direct_fc])
     def test_fuel_row_ignores_the_buffer_chemistry(self, allocate):
         template = replace(default_battery_template(), chemistry="LiFePO4")
         sized = allocate(INPUTS)
-        row = compare([config_from_sizing(sized, battery_template=template)])[0]
+        row = compare([replace(sized.config,
+                               battery=template.scaled(sized.battery_mass))])[0]
         assert row.label == sized.label == supply_label(sized.mode)
 
 
@@ -296,6 +305,26 @@ class TestInternalConsistency:
         else:
             assert peak_warnings == []
         assert len(r.warnings) == (not r.feasible) + len(peak_warnings)
+        # every figure is read from the supply the sizing built
+        cfg = r.config
+        assert (r.stack_mass, r.battery_mass, r.fuel_mass, r.electronics_mass) == (
+            cfg.stack.mass, cfg.battery.mass, cfg.tank.fuel_mass, cfg.electronics.mass)
+        assert cfg.mode == r.mode
+        assert cfg.effective_setpoint == min(steady, cfg.stack.rated_power)
+        assert r.system_life == system_life(cfg)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(template=st.sampled_from(PACKS),
+           budget=st.floats(min_value=0.001, max_value=3.0),
+           load=st.floats(min_value=0.1, max_value=300.0))
+    def test_pack_figures_read_the_pack(self, template, budget, load):
+        r = size_battery_only(template, budget, load)
+        cfg = r.config
+        # the pack and the chemistry that sized it cannot be paired apart
+        assert cfg.battery == template.scaled(budget)
+        assert r.run_time == cfg.battery.capacity_wh / load
+        assert r.peak_capability == cfg.battery.max_power_w
+        assert r.system_life == system_life(cfg, r.run_time)
 
 
 class TestSystemLife:
@@ -325,9 +354,11 @@ class TestSystemLife:
         assert system_life(cfg, ripple=0.5) < system_life(cfg)
 
 
-class TestConfigFromSizing:
+class TestSizedConfig:
+    """Each sizing carries the supply it sized."""
+
     def test_hybrid_realization(self):
-        cfg = config_from_sizing(size_hybrid(INPUTS))
+        cfg = size_hybrid(INPUTS).config
         assert cfg.mode == MODE_HYBRID
         assert cfg.stack.rated_power == 45.0
         assert cfg.stack.cell_voltage == 0.8
@@ -339,7 +370,7 @@ class TestConfigFromSizing:
         assert math.isclose(cfg.total_mass, 1.2)
 
     def test_direct_realization(self):
-        cfg = config_from_sizing(size_direct_fc(INPUTS))
+        cfg = size_direct_fc(INPUTS).config
         assert cfg.mode == MODE_DIRECT
         assert cfg.stack.cell_voltage == 0.8
         assert cfg.stack.rated_power == 90.0
@@ -347,8 +378,7 @@ class TestConfigFromSizing:
         assert cfg.battery.mass == 0.0
 
     def test_battery_realization(self):
-        sized = size_battery_only(presets.NIMH_TEMPLATE, 1.2, 16.0)
-        cfg = config_from_sizing(sized, battery_template=presets.NIMH_TEMPLATE)
+        cfg = size_battery_only(presets.NIMH_TEMPLATE, 1.2, 16.0).config
         assert cfg.mode == MODE_BATTERY
         assert cfg.stack.rated_power == 0.0
         assert cfg.stack.mass == 0.0
@@ -396,7 +426,7 @@ class TestEvaluateSetpoint:
         ev = evaluate_setpoint(flat_profile(45.0), inputs, 90.0, dt=1.0)
         assert (ev.feasible, ev.reason) == (False, "mass_budget")
         assert simulations == []
-        config = config_from_sizing(ev.sizing)
+        config = ev.sizing.config
         settle = simulate(config, flat_profile(45.0), dt=1.0)
         judged = simulate(config, flat_profile(45.0), dt=1.0,
                           initial_soc=settle.soc_final)
@@ -577,8 +607,7 @@ class TestOptimizeSetpoint:
         assert below.reason == "battery_drain"
         # the orbit is anchored at the top: from the pass judged at 46.9 W
         # each further pass refills the pack and meets demand
-        config = config_from_sizing(
-            evaluate_setpoint(gait, inputs, 46.9, dt=0.1).sizing)
+        config = evaluate_setpoint(gait, inputs, 46.9, dt=0.1).sizing.config
         settle = simulate(config, gait, dt=0.1)
         judged = simulate(config, gait, dt=0.1, initial_soc=settle.soc_final)
         assert judged.soc_initial - judged.soc_final > 0.0
