@@ -21,13 +21,8 @@ from operator import attrgetter
 from .controller import EnergyFlow
 from .errors import ValidationError
 from .profile import ProfileStats
-from .simulator import (
-    HybridConfig,
-    MODE_BATTERY,
-    SimulationResult,
-    run_time_constant_load,
-)
-from .sizing import SizingResult, supply_label, system_life
+from .simulator import HybridConfig, MODE_BATTERY, SimulationResult
+from .sizing import SizingResult, rate
 
 
 @dataclass(slots=True)
@@ -46,30 +41,19 @@ class ComparisonRow:
 
 def _row_from_config(config: HybridConfig, peak_power: float,
                      battery_load: float) -> ComparisonRow:
-    battery_mode = config.mode == MODE_BATTERY
-    if battery_mode:
-        load = battery_load
-        density = config.battery.specific_energy
-        capability = config.battery.max_power_w
-        initial_soc = None
-    else:
-        load = config.effective_setpoint * config.electronics.converter_efficiency
-        density = config.tank.specific_energy_electric
-        capability = config.stack.rated_power + config.battery.max_power_w
-        initial_soc = config.battery.soc_min
-    if not 0.0 < load < math.inf:
+    rated = rate(config, battery_load)
+    if not 0.0 < rated.load_basis < math.inf:
         raise ValidationError("comparison load basis must be finite and > 0")
-    run_time = run_time_constant_load(config, load, initial_soc=initial_soc)
-    life = system_life(config, run_time=run_time)
+    fuel = config.mode != MODE_BATTERY
     return ComparisonRow(
-        label=supply_label(config.mode, config.battery.chemistry),
-        stack_mass=None if battery_mode else config.stack.mass,
-        fuel_mass=None if battery_mode else config.tank.fuel_mass,
-        energy_density=density,
-        system_life=life,
-        run_time=run_time,
-        load_basis=load,
-        feasible_at_peak=capability >= peak_power,
+        label=rated.label,
+        stack_mass=rated.stack_mass if fuel else None,
+        fuel_mass=rated.fuel_mass if fuel else None,
+        energy_density=rated.energy_density,
+        system_life=rated.system_life,
+        run_time=rated.run_time,
+        load_basis=rated.load_basis,
+        feasible_at_peak=rated.peak_capability >= peak_power,
     )
 
 
@@ -77,11 +61,14 @@ def compare(entries, peak_power: float = 250.0,
             battery_load: float = 16.0) -> list[ComparisonRow]:
     """Rate each configuration as one comparison row, labelled by mode.
 
-    A fuel supply runs on its fuel alone (pack at its floor) at the most
-    its stack sustains: effective_setpoint times the converter efficiency.
-    A battery pack runs from full at battery_load. peak_power is the
-    demand spike every option is judged against. Both must be finite
-    and > 0.
+    Each row is the configuration's rating by sizing.rate, the rule that
+    `size` reports too: a fuel supply runs on its fuel alone (pack at its
+    floor) at the most its stack sustains, effective_setpoint times the
+    converter efficiency; a battery pack runs from full at battery_load.
+    A row is feasible at peak_power, the demand spike every option is
+    judged against, when the rating's peak capability (the stack ceiling
+    plus the pack's power bound) reaches it. Both loads must be finite
+    and > 0, and so must a fuel supply's load basis.
     """
     if not 0.0 < peak_power < math.inf:
         raise ValidationError("peak_power must be finite and > 0")

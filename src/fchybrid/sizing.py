@@ -9,10 +9,11 @@ and electronics:
     with no battery or converter electronics, the rest is fuel
   - battery only: the whole budget is one pack
 
-Run-times are fuel-basis horizons (fuel energy over the steady draw, or
-pack energy over the average load). System life is the fuel-cell
-degradation horizon for fuel modes and cycle life times run-time for
-battery packs; a hybrid takes the minimum of the two.
+One rule, rate, rates every supply for `size` and `compare` alike: a
+pack runs from full at its load, a fuel supply on its fuel alone at the
+most its stack sustains, and run time, life and peak capability are read
+from the supply's parts through the closed-form endurance, system_life
+and the stack ceiling simulate uses.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .simulator import (
     MODE_HYBRID,
     SimulationResult,
     default_dt,
+    run_time_constant_load,
     simulate,
 )
 from .controller import ControllerParams
@@ -91,10 +93,10 @@ class SizingInputs:
 class SizingResult:
     """Mass split, the supply it builds, and the figures of merit it implies.
 
-    config is that supply, ready to simulate, and every figure is read from
-    its parts. energy_density is the fuel-basis Wh/kg convention used in
-    supply comparisons; system_energy_density divides total stored energy
-    by the whole supply mass.
+    config is that supply, ready to simulate, and rate reads every figure
+    from its parts. energy_density is the fuel-basis Wh/kg convention used
+    in supply comparisons; system_energy_density divides total stored
+    energy by the whole supply mass.
     """
 
     mode: str
@@ -144,62 +146,81 @@ def _stack(power: float, c: SizingConstants) -> FuelCellStackSpec:
                                        specific_power=c.stack_specific_power)
 
 
+def rate(config: HybridConfig, pack_load: float,
+         mass_budget: float | None = None) -> SizingResult:
+    """The sizing of any supply, every figure read from its parts.
+
+    A pack runs from full at pack_load. A fuel supply runs on its fuel
+    alone, its pack at the floor, at its effective setpoint times the
+    converter efficiency: the most its stack sustains at the load. The
+    run time is run_time_constant_load at that load basis (endless at
+    0 W) and the life system_life's over it. The peak capability is the
+    stack_ceiling simulate caps the stack at plus the pack's power bound.
+    system_energy_density divides the stored energy by mass_budget, the
+    supply's total mass when left out. The result is feasible and has no
+    warnings; an allocator that finds otherwise sets both.
+    """
+    battery, tank = config.battery, config.tank
+    if config.mode == MODE_BATTERY:
+        load, density, initial_soc = pack_load, battery.specific_energy, None
+    else:
+        load = config.effective_setpoint * config.electronics.converter_efficiency
+        density, initial_soc = tank.specific_energy_electric, battery.soc_min
+    run_time = (run_time_constant_load(config, load, initial_soc=initial_soc)
+                if load > 0 else math.inf)
+    mass = config.total_mass if mass_budget is None else mass_budget
+    stored = fuel_energy(tank) + battery.capacity_wh
+    return SizingResult(
+        mode=config.mode,
+        stack_mass=config.stack.mass,
+        battery_mass=battery.mass,
+        fuel_mass=tank.fuel_mass,
+        electronics_mass=config.electronics.mass,
+        run_time=run_time,
+        system_life=system_life(config, run_time),
+        energy_density=density,
+        system_energy_density=stored / mass if mass > 0 else 0.0,
+        load_basis=load,
+        peak_capability=config.stack_ceiling + battery.max_power_w,
+        feasible=True,
+        config=config,
+        label=supply_label(config.mode, battery.chemistry),
+    )
+
+
 def _fuel_supply(inputs: SizingInputs, mode: str, stack: FuelCellStackSpec,
-                 battery_mass: float, electronics_mass: float, over_budget: str,
-                 warnings: list[str]) -> SizingResult:
-    """A fuel supply whose fuel takes what its parts leave of the budget.
+                 battery_mass: float, electronics_mass: float,
+                 over_budget: str) -> SizingResult:
+    """A fuel supply whose fuel takes what its parts leave of the budget,
+    rated by rate with the stack's setpoint the steady draw capped at its
+    rating.
 
     Parts over the budget leave no fuel and an infeasible result, whose
-    first warning is over_budget; the given warnings follow it. The stack's
-    setpoint is the steady draw capped at its rating; a direct stack follows
-    the load up to its rating, so there only the comparison reads the
-    setpoint, as its row's load basis. A hybrid sources its steady draw
-    plus its pack's power bound; a direct stack, its rating.
+    first warning is over_budget. A supply whose peak capability falls
+    short of the peak is warned of that last.
     """
     c = inputs.constants
-    steady = inputs.steady_power
     fuel_mass = inputs.mass_budget - stack.mass - battery_mass - electronics_mass
-    feasible = fuel_mass >= -1e-12
-    if not feasible:
-        warnings.insert(0, over_budget)
     config = HybridConfig(
         stack=stack, battery=default_battery_template(c).scaled(battery_mass),
         tank=FuelTankSpec(max(fuel_mass, 0.0), c.fuel_specific_energy),
         electronics=ElectronicsSpec(electronics_mass),
-        controller=ControllerParams(fc_setpoint=min(steady, stack.rated_power)),
+        controller=ControllerParams(fc_setpoint=min(inputs.steady_power,
+                                                    stack.rated_power)),
         mode=mode)
-    battery, tank = config.battery, config.tank
-    fuel_wh = fuel_energy(tank)
-    return SizingResult(
-        mode=mode,
-        stack_mass=stack.mass,
-        battery_mass=battery.mass,
-        fuel_mass=tank.fuel_mass,
-        electronics_mass=config.electronics.mass,
-        run_time=fuel_wh / steady if steady > 0 else math.inf,
-        system_life=system_life(config),
-        energy_density=tank.specific_energy_electric,
-        system_energy_density=(fuel_wh + battery.capacity_wh) / inputs.mass_budget,
-        load_basis=steady,
-        peak_capability=(steady + battery.max_power_w if mode == MODE_HYBRID
-                         else stack.rated_power),
-        feasible=feasible,
-        config=config,
-        label=supply_label(mode),
-        warnings=warnings,
-    )
+    sized = rate(config, 0.0, inputs.mass_budget)  # a fuel supply has no pack load
+    sized.feasible = fuel_mass >= -1e-12
+    if not sized.feasible:
+        sized.warnings.append(over_budget)
+    if sized.peak_capability < inputs.peak_power:
+        parts = "stack and pack" if mode == MODE_HYBRID else "stack"
+        sized.warnings.append(f"{parts} rated {sized.peak_capability:g} W "
+                              f"cannot meet {inputs.peak_power:g} W peaks")
+    return sized
 
 
 def size_hybrid(inputs: SizingInputs) -> SizingResult:
-    """Allocate stack to the steady draw, battery to the peak, fuel last.
-
-    FOUND, not yet fixed: the stack rounds to whole grams, but run time,
-    load basis and peak capability read the steady draw, not the rounded
-    stack's rating. At 45.1 W steady on the 1.2 kg, 250 W preset the
-    0.150 kg stack is rated 45.0 W; this reports 87.80 h, 45.1 W and
-    294.85 W, where compare on its config reports 88.0 h, 45.0 W and
-    294.75 W.
-    """
+    """Allocate stack to the steady draw, battery to the peak, fuel last."""
     c = inputs.constants
     stack = _stack(inputs.steady_power, c)
     battery_mass = _to_gram(inputs.peak_power / c.battery_specific_power)
@@ -207,7 +228,7 @@ def size_hybrid(inputs: SizingInputs) -> SizingResult:
     return _fuel_supply(
         inputs, MODE_HYBRID, stack, battery_mass, c.electronics_mass,
         f"stack, battery, and electronics need {parts:.3f} kg, "
-        f"over the {inputs.mass_budget:.3f} kg budget", [])
+        f"over the {inputs.mass_budget:.3f} kg budget")
 
 
 def size_direct_fc(inputs: SizingInputs) -> SizingResult:
@@ -218,23 +239,15 @@ def size_direct_fc(inputs: SizingInputs) -> SizingResult:
     relative ripple of 1, which sets its life (about 120 h).
     """
     stack = _stack(_STACK_FACTOR * inputs.steady_power, inputs.constants)
-    rated = stack.rated_power
-    warnings = ([f"stack rated {rated:g} W cannot meet {inputs.peak_power:g} W peaks"]
-                if rated < inputs.peak_power else [])
     return _fuel_supply(
         inputs, MODE_DIRECT, stack, 0.0, 0.0,
-        f"stack alone ({stack.mass:.3f} kg) exceeds the budget", warnings)
+        f"stack alone ({stack.mass:.3f} kg) exceeds the budget")
 
 
 def size_battery_only(template: BatterySpec, mass_budget: float,
                       average_load: float) -> SizingResult:
-    """The whole budget becomes one pack of the template's chemistry.
-
-    FOUND, not yet fixed: the run time is the pack's energy over the load,
-    whatever the pack's power bound. A 0.1 kg NiMH pack (25 W) at 30 W
-    reads 0.133 h here, where run_time_constant_load on its config gives
-    0 h.
-    """
+    """The whole budget becomes one pack of the template's chemistry,
+    rated at the average load."""
     if not 0.0 < mass_budget < math.inf:
         raise ValidationError("mass_budget must be finite and > 0")
     if not 0.0 < average_load < math.inf:
@@ -243,24 +256,7 @@ def size_battery_only(template: BatterySpec, mass_budget: float,
         stack=FuelCellStackSpec.from_mass(0.0), battery=template.scaled(mass_budget),
         tank=FuelTankSpec(0.0), controller=ControllerParams(fc_setpoint=0.0),
         mode=MODE_BATTERY)
-    battery = config.battery
-    run_time = battery.capacity_wh / average_load
-    return SizingResult(
-        mode=MODE_BATTERY,
-        stack_mass=0.0,
-        battery_mass=battery.mass,
-        fuel_mass=0.0,
-        electronics_mass=0.0,
-        run_time=run_time,
-        system_life=system_life(config, run_time),
-        energy_density=battery.specific_energy,
-        system_energy_density=battery.specific_energy,
-        load_basis=average_load,
-        peak_capability=battery.max_power_w,
-        feasible=True,
-        config=config,
-        label=supply_label(MODE_BATTERY, battery.chemistry),
-    )
+    return rate(config, average_load, mass_budget)
 
 
 def system_life(config: HybridConfig, run_time: float | None = None, *,

@@ -39,6 +39,14 @@ assumed 0.95 V, with its measured ripple the only stress: each fell by
 fc_life(0.8) / fc_life(0.95), about 219 (``direct-gait-once`` 7.89308e-4
 to 3.6026e-6), and ``direct-flat-once`` now emits what ``hybrid-flat-once``
 does.
+Two sizings were added when ``size`` and ``compare`` came to rate a supply
+by one rule (sizing.rate), each pinning a figure that rule moved:
+``sizing-hybrid-rounded-stack`` sizes a hybrid for 45.1 W, whose stack
+rounds to 0.150 kg rated 45.0 W, and now reads 88 h, a 45 W basis and
+294.75 W off that rating (it was 87.80 h, 45.1 W and 294.85 W), so it
+emits what ``sizing-hybrid`` does: both build one supply.
+``sizing-nimh-over-bound`` loads a 0.1 kg NiMH pack, which sources
+25 W, at 30 W: it now runs, and lives, 0 h (it read 0.133 h).
 
 The scenarios cross the four presets (all three modes) and a lossy hybrid
 (non-unit converter and battery efficiencies, a raised SOC floor, reduced
@@ -61,7 +69,7 @@ from fchybrid.profile import GaitParams, PowerProfile, synthesize_walk_profile
 from fchybrid.profile import profile_stats
 from fchybrid.report import compare, emit
 from fchybrid.simulator import simulate
-from fchybrid.sizing import SizingInputs, size_battery_only, size_direct_fc
+from fchybrid.sizing import SizingInputs, size_battery_only, size_direct_fc, size_hybrid
 
 
 def lossy_hybrid_config():
@@ -188,6 +196,10 @@ REPORTS = {
     # the stack alone is over budget and cannot meet the peak: two warnings
     "sizing-infeasible": lambda: size_direct_fc(SizingInputs(0.2, 100.0, 250.0)),
     "sizing-int-inputs": lambda: size_battery_only(presets.NIMH_TEMPLATE, 1, 16),
+    # a 0.150 kg stack rated 45.0 W, below the 45.1 W draw
+    "sizing-hybrid-rounded-stack": lambda: size_hybrid(SizingInputs(1.2, 45.1, 250.0)),
+    # a 25 W pack at 30 W
+    "sizing-nimh-over-bound": lambda: size_battery_only(presets.NIMH_TEMPLATE, 0.1, 30.0),
     "compare-table1": lambda: compare(presets.comparison_configs()),
     "compare-configs": lambda: compare(presets.comparison_configs()),
     "rows-empty": lambda: [],
@@ -210,6 +222,8 @@ REPORT_GOLDEN = {
     "sizing-hybrid": "bbfb8d4c3041de72fe8f6c4dfc01f018eb1d8667dc8b9c0458adb580ee01f5f7",
     "sizing-infeasible": "505541707bab7b5c2f5409e83098eeb5198947562327cf088062b1d7d95ddaf9",
     "sizing-int-inputs": "73c6ba17748b8e5987eba08d4be3e90db5b7d305fd07c7bf4408ba58f9888c0d",
+    "sizing-hybrid-rounded-stack": "bbfb8d4c3041de72fe8f6c4dfc01f018eb1d8667dc8b9c0458adb580ee01f5f7",
+    "sizing-nimh-over-bound": "ff1e99ab08c1139468de87fbfa4a0ec52d5e0ed8cabc5371cc2f3f53f6e76584",
     "compare-table1": "96c1656d05f26ae3f4e8d802995fd798424cdfbcc53ebe3b0494e51d4a827a95",
     "compare-configs": "96c1656d05f26ae3f4e8d802995fd798424cdfbcc53ebe3b0494e51d4a827a95",
     "rows-empty": "c17570ad2dc642b11f733cce8555c7d79fb562dedb2b032cd9ab366be0d26e14",

@@ -24,9 +24,10 @@ from fchybrid.report import (
     compare,
     emit,
 )
-from fchybrid.simulator import MODE_BATTERY, simulate
+from fchybrid.simulator import simulate
 from fchybrid.sizing import size_hybrid, SizingInputs
 from test_golden import lossy_hybrid_config
+from test_sizing import assert_row_reads_the_sizing
 
 TABLE_CSV = """\
 label,stack_mass_kg,fuel_mass_kg,energy_density_wh_per_kg,system_life_h,run_time_h,load_basis_w,feasible_at_peak
@@ -79,15 +80,16 @@ class TestCompare:
     def test_rows_reproduce_the_sizings(self, peak):
         rows = compare(presets.comparison_configs(), peak_power=peak)
         for row, sized in zip(rows, presets.comparison_sizings(), strict=True):
-            fuel = sized.mode != MODE_BATTERY
-            assert row.label == sized.label
-            assert row.stack_mass == (sized.stack_mass if fuel else None)
-            assert row.fuel_mass == (sized.fuel_mass if fuel else None)
-            assert row.energy_density == sized.energy_density
-            assert row.system_life == sized.system_life
-            assert row.run_time == sized.run_time
-            assert row.load_basis == sized.load_basis
-            assert row.feasible_at_peak == (sized.peak_capability >= peak)
+            assert_row_reads_the_sizing(row, sized, peak)
+
+    def test_hybrid_peak_reads_the_stack_ceiling(self):
+        # a 30 W setpoint caps the 45 W stack at 30 W: with the 249.75 W
+        # pack it sources 279.75 W, short of 290 W, and the run agrees
+        base = presets.hybrid_config()
+        cfg = replace(base, controller=replace(base.controller, fc_setpoint=30.0))
+        assert not compare([cfg], peak_power=290.0)[0].feasible_at_peak
+        flat = PowerProfile(times=np.array([0.0, 60.0]), power=np.array([290.0, 290.0]))
+        assert simulate(cfg, flat).termination == "unmet_demand"
 
     def test_battery_config_entry(self):
         row = compare([presets.nimh_config()], battery_load=16.0)[0]
@@ -95,6 +97,13 @@ class TestCompare:
         assert row.stack_mass is None
         assert row.fuel_mass is None
         assert row.run_time == 3.0
+
+    def test_empty_pack_rates_no_time(self):
+        # a 0 kg pack is a supply of no mass: its row still rates it
+        cfg = replace(presets.nimh_config(), battery=presets.NIMH_TEMPLATE.scaled(0.0))
+        row = compare([cfg])[0]
+        assert row.run_time == row.system_life == 0.0
+        assert not row.feasible_at_peak
 
     def test_duplicate_entries_give_identical_rows(self):
         a, b = compare([presets.hybrid_config(), presets.hybrid_config()])

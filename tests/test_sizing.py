@@ -95,6 +95,19 @@ def lowest_servable_setpoint(load: float, peak: float = 250.0) -> float:
     return hi
 
 
+def assert_row_reads_the_sizing(row, sized, peak):
+    """compare's row of a sizing's config gives the sizing's figures."""
+    fuel = sized.mode != MODE_BATTERY
+    assert row.label == sized.label
+    assert row.stack_mass == (sized.stack_mass if fuel else None)
+    assert row.fuel_mass == (sized.fuel_mass if fuel else None)
+    assert row.energy_density == sized.energy_density
+    assert row.run_time == sized.run_time
+    assert row.load_basis == sized.load_basis
+    assert row.system_life == sized.system_life
+    assert row.feasible_at_peak == (sized.peak_capability >= peak)
+
+
 class TestInputsValidation:
     @pytest.mark.parametrize("kwargs", [
         {"stack_specific_power": 0.0},
@@ -152,6 +165,17 @@ class TestSizeHybrid:
         assert r.fuel_mass == 0.0
         assert len(r.warnings) == 1
         assert "budget" in r.warnings[0]
+
+    @pytest.mark.parametrize("steady, capability, warned", [
+        (0.0, 249.75, True), (0.2, 249.95, True), (0.5, 250.25, False)])
+    def test_pack_rounded_below_the_peak_is_warned(self, steady, capability,
+                                                   warned):
+        # 250 W rounds to a 0.135 kg pack, which sources 249.75 W
+        r = size_hybrid(SizingInputs(1.2, steady, 250.0))
+        assert math.isclose(r.peak_capability, capability)
+        assert r.feasible
+        assert r.warnings == ([f"stack and pack rated {capability:g} W "
+                               "cannot meet 250 W peaks"] if warned else [])
 
     def test_part_too_heavy_for_a_float_is_rejected(self):
         # 1e10 W at 1e-300 W/kg is a stack of more than the largest float
@@ -269,17 +293,22 @@ class TestInternalConsistency:
                                                initial_soc=cfg.battery.soc_min)
             assert hours == r.run_time, r.label
 
+    @pytest.mark.parametrize("allocate", [size_hybrid, size_direct_fc])
     @settings(derandomize=True, deadline=None, database=None, max_examples=200)
-    @given(allocate=st.sampled_from([size_hybrid, size_direct_fc]),
-           budget=st.floats(min_value=0.01, max_value=2.5),
+    @given(budget=st.floats(min_value=0.01, max_value=2.5),
            steady=st.floats(min_value=0.0, max_value=300.0),
            extra_peak=st.floats(min_value=0.0, max_value=2000.0),
            electronics=st.floats(min_value=0.0, max_value=0.3))
-    @example(size_hybrid, 0.4, 45.0, 205.0, 0.115)  # parts exactly the budget
-    @example(size_direct_fc, 0.3, 45.0, 205.0, 0.115)
-    @example(size_direct_fc, 0.29, 45.0, 0.0, 0.115)
-    @example(size_hybrid, 1.2, 0.0, 250.0, 0.115)
-    @example(size_direct_fc, 1.2, 0.0, 0.0, 0.115)
+    # hybrid parts exactly the budget; direct stack exactly the budget
+    @example(budget=0.4, steady=45.0, extra_peak=205.0, electronics=0.115)
+    @example(budget=0.3, steady=45.0, extra_peak=205.0, electronics=0.115)
+    @example(budget=0.29, steady=45.0, extra_peak=0.0, electronics=0.115)
+    @example(budget=1.2, steady=0.0, extra_peak=250.0, electronics=0.115)
+    @example(budget=1.2, steady=0.0, extra_peak=0.0, electronics=0.115)
+    # a hybrid stack rounded to 0.150 kg, rated 45.0 W below the draw
+    @example(budget=1.2, steady=45.1, extra_peak=204.9, electronics=0.115)
+    # a direct stack rounded to 0 g under a draw: a 0 W basis
+    @example(budget=1.2, steady=0.07, extra_peak=249.93, electronics=0.115)
     def test_fuel_takes_what_the_parts_leave(self, allocate, budget, steady,
                                              extra_peak, electronics):
         c = SizingConstants(electronics_mass=electronics)
@@ -293,38 +322,51 @@ class TestInternalConsistency:
             assert parts > budget
             assert r.fuel_mass == 0.0
             assert "budget" in r.warnings[0]
-        if steady > 0:
-            assert r.run_time == r.fuel_mass * c.fuel_specific_energy / steady
-        else:
-            assert r.run_time == math.inf
         peak_warnings = [w for w in r.warnings if "peak" in w]
-        if r.mode == MODE_DIRECT:
-            assert bool(peak_warnings) == (r.peak_capability < peak)
-            if peak_warnings:
-                assert peak_warnings == r.warnings[-1:]
-        else:
-            assert peak_warnings == []
+        assert bool(peak_warnings) == (r.peak_capability < peak)
+        if peak_warnings:
+            assert peak_warnings == r.warnings[-1:]
         assert len(r.warnings) == (not r.feasible) + len(peak_warnings)
-        # every figure is read from the supply the sizing built
+        # every figure is the rating of the supply the sizing built
         cfg = r.config
         assert (r.stack_mass, r.battery_mass, r.fuel_mass, r.electronics_mass) == (
             cfg.stack.mass, cfg.battery.mass, cfg.tank.fuel_mass, cfg.electronics.mass)
         assert cfg.mode == r.mode
         assert cfg.effective_setpoint == min(steady, cfg.stack.rated_power)
-        assert r.system_life == system_life(cfg)
+        assert r.load_basis == cfg.effective_setpoint
+        if r.load_basis > 0:
+            assert r.run_time == run_time_constant_load(
+                cfg, r.load_basis, initial_soc=cfg.battery.soc_min)
+        else:
+            assert r.run_time == math.inf
+        assert r.system_life == system_life(cfg, r.run_time)
+        assert r.peak_capability == cfg.stack_ceiling + cfg.battery.max_power_w
+        # and compare, wherever it accepts the supply, rates it the same
+        if r.load_basis == 0:
+            with pytest.raises(ValidationError, match="load basis"):
+                compare([cfg])
+        elif peak > 0:
+            assert_row_reads_the_sizing(compare([cfg], peak_power=peak)[0], r, peak)
 
-    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
     @given(template=st.sampled_from(PACKS),
            budget=st.floats(min_value=0.001, max_value=3.0),
-           load=st.floats(min_value=0.1, max_value=300.0))
-    def test_pack_figures_read_the_pack(self, template, budget, load):
+           load=st.floats(min_value=0.1, max_value=300.0),
+           peak=st.floats(min_value=0.1, max_value=1000.0))
+    # a 25 W NiMH pack at 30 W runs 0 h
+    @example(template=presets.NIMH_TEMPLATE, budget=0.1, load=30.0, peak=25.0)
+    def test_pack_figures_read_the_pack(self, template, budget, load, peak):
         r = size_battery_only(template, budget, load)
         cfg = r.config
         # the pack and the chemistry that sized it cannot be paired apart
         assert cfg.battery == template.scaled(budget)
-        assert r.run_time == cfg.battery.capacity_wh / load
-        assert r.peak_capability == cfg.battery.max_power_w
+        assert r.load_basis == load
+        assert r.run_time == run_time_constant_load(cfg, load)
         assert r.system_life == system_life(cfg, r.run_time)
+        assert r.peak_capability == cfg.battery.max_power_w
+        event(f"over the pack's bound={load > r.peak_capability}")
+        row = compare([cfg], peak_power=peak, battery_load=load)[0]
+        assert_row_reads_the_sizing(row, r, peak)
 
 
 class TestSystemLife:
