@@ -16,24 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require_finite
+from .errors import ValidationError, bounded, check_fields
 from .powertrain import BatterySpec, BatteryState, battery_step
 
 
 @dataclass(frozen=True)
 class ControllerParams:
-    fc_setpoint: float  # W commanded from the stack
-    filter_time_constant: float = 1.0  # s, first-order suppression filter
-    trickle_headroom: float = 1.0  # charge power cap as fraction of pack max
+    fc_setpoint: float = bounded(">= 0")  # W commanded from the stack
+    filter_time_constant: float = bounded("> 0", 1.0)  # s, first-order suppression filter
+    # charge power cap as fraction of pack max
+    trickle_headroom: float = bounded("in (0, 1]", 1.0)
 
     def __post_init__(self):
-        require_finite(self)
-        if self.fc_setpoint < 0:
-            raise ValidationError("fc_setpoint must be >= 0")
-        if self.filter_time_constant <= 0:
-            raise ValidationError("filter_time_constant must be > 0")
-        if not 0.0 < self.trickle_headroom <= 1.0:
-            raise ValidationError("trickle_headroom must be in (0, 1]")
+        check_fields(self)
 
 
 @dataclass(slots=True)

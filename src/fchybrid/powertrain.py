@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import ValidationError, require_finite
+from .errors import ValidationError, bounded, check_fields
 
 IDEAL_CELL_VOLTAGE = 1.23  # V, reversible cell potential
 STACK_SPECIFIC_POWER = 300.0  # W/kg, rated output per stack mass
@@ -33,22 +33,16 @@ FUEL_SPECIFIC_ENERGY = 4950.0  # Wh/kg of fuel, delivered as electricity
 
 @dataclass(frozen=True)
 class FuelCellStackSpec:
-    rated_power: float  # W
-    mass: float  # kg
+    rated_power: float = bounded(">= 0")  # W
+    mass: float = bounded(">= 0")  # kg
     cell_voltage: float = 0.8  # V, every stack's regulated operating point
     ideal_voltage: float = IDEAL_CELL_VOLTAGE  # V
-    specific_power: float = STACK_SPECIFIC_POWER  # W/kg
+    specific_power: float = bounded("> 0", STACK_SPECIFIC_POWER)  # W/kg
 
     def __post_init__(self):
-        require_finite(self)
-        if self.rated_power < 0:
-            raise ValidationError("rated_power must be >= 0")
-        if self.mass < 0:
-            raise ValidationError("stack mass must be >= 0")
+        check_fields(self)
         if not 0.0 < self.cell_voltage <= self.ideal_voltage:
             raise ValidationError("cell_voltage must be in (0, ideal_voltage]")
-        if self.specific_power <= 0:
-            raise ValidationError("specific_power must be > 0")
 
     @classmethod
     def from_mass(cls, mass: float, **kwargs) -> "FuelCellStackSpec":
@@ -65,32 +59,24 @@ class DegradationParams:
     ln(26280 / 120) / 0.15 = 35.93.
     """
 
-    ref_voltage: float = 0.8  # V
-    ref_life: float = 26280.0  # h at ref_voltage with zero ripple
-    slope: float = 35.93  # 1/V
-    ripple_gain: float = 0.15  # V of effective stress per unit relative ripple
+    ref_voltage: float = bounded("> 0", 0.8)  # V
+    ref_life: float = bounded("> 0", 26280.0)  # h at ref_voltage with zero ripple
+    slope: float = bounded(">= 0", 35.93)  # 1/V
+    ripple_gain: float = bounded(">= 0", 0.15)  # V of effective stress per unit relative ripple
 
     def __post_init__(self):
-        require_finite(self)
-        if self.ref_voltage <= 0:
-            raise ValidationError("ref_voltage must be > 0")
-        if self.ref_life <= 0:
-            raise ValidationError("ref_life must be > 0")
-        if self.slope < 0:
-            raise ValidationError("slope must be >= 0")
-        if self.ripple_gain < 0:
-            raise ValidationError("ripple_gain must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class BatterySpec:
     chemistry: str
-    mass: float  # kg
-    specific_energy: float  # Wh/kg
-    specific_power: float  # W/kg, symmetric charge/discharge bound
-    charge_efficiency: float = 0.95
-    discharge_efficiency: float = 0.95
-    cycle_life: float = 1000.0  # full equivalent cycles
+    mass: float = bounded(">= 0")  # kg
+    specific_energy: float = bounded(">= 0")  # Wh/kg
+    specific_power: float = bounded(">= 0")  # W/kg, symmetric charge/discharge bound
+    charge_efficiency: float = bounded("in (0, 1]", 0.95)
+    discharge_efficiency: float = bounded("in (0, 1]", 0.95)
+    cycle_life: float = bounded("> 0", 1000.0)  # full equivalent cycles
     soc_min: float = 0.1
     soc_max: float = 1.0
     # mass times specific energy and power, set by __post_init__: the step
@@ -100,19 +86,7 @@ class BatterySpec:
     max_power_w: float = field(init=False, repr=False, compare=False)  # W
 
     def __post_init__(self):
-        require_finite(self)
-        if self.mass < 0:
-            raise ValidationError("battery mass must be >= 0")
-        if self.specific_energy < 0:
-            raise ValidationError("specific_energy must be >= 0")
-        if self.specific_power < 0:
-            raise ValidationError("specific_power must be >= 0")
-        if not 0.0 < self.charge_efficiency <= 1.0:
-            raise ValidationError("charge_efficiency must be in (0, 1]")
-        if not 0.0 < self.discharge_efficiency <= 1.0:
-            raise ValidationError("discharge_efficiency must be in (0, 1]")
-        if self.cycle_life <= 0:
-            raise ValidationError("cycle_life must be > 0")
+        check_fields(self)
         if not 0.0 <= self.soc_min < self.soc_max <= 1.0:
             raise ValidationError("need 0 <= soc_min < soc_max <= 1")
         object.__setattr__(self, "capacity_wh", self.mass * self.specific_energy)
@@ -243,28 +217,20 @@ def battery_charge_acceptance(spec: BatterySpec, state: BatteryState, dt: float,
 
 @dataclass(frozen=True)
 class FuelTankSpec:
-    fuel_mass: float  # kg
-    specific_energy_electric: float = FUEL_SPECIFIC_ENERGY  # Wh/kg
+    fuel_mass: float = bounded(">= 0")  # kg
+    specific_energy_electric: float = bounded(">= 0", FUEL_SPECIFIC_ENERGY)  # Wh/kg
 
     def __post_init__(self):
-        require_finite(self)
-        if self.fuel_mass < 0:
-            raise ValidationError("fuel_mass must be >= 0")
-        if self.specific_energy_electric < 0:
-            raise ValidationError("specific_energy_electric must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class ElectronicsSpec:
-    mass: float = 0.0  # kg
-    converter_efficiency: float = 1.0
+    mass: float = bounded(">= 0", 0.0)  # kg
+    converter_efficiency: float = bounded("in (0, 1]", 1.0)
 
     def __post_init__(self):
-        require_finite(self)
-        if self.mass < 0:
-            raise ValidationError("electronics mass must be >= 0")
-        if not 0.0 < self.converter_efficiency <= 1.0:
-            raise ValidationError("converter_efficiency must be in (0, 1]")
+        check_fields(self)
 
 
 def fuel_energy(tank: FuelTankSpec) -> float:

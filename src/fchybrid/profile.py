@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ProfileParseError, ValidationError, require_finite
+from .errors import ProfileParseError, ValidationError, bounded, check_fields
 
 CSV_HEADER = "time_s,power_w"
 
@@ -90,27 +90,15 @@ class GaitParams:
     base_load + mech_peak / servo_efficiency and the rest at base_load.
     """
 
-    base_load: float = 40.0  # W, computer plus sensors
-    gait_period: float = 1.0  # s
-    stride_duty: float = 0.6  # fraction of the period under stride load
-    mech_peak: float = 0.0  # W mechanical at the joints
-    servo_efficiency: float = 0.5  # electrical to mechanical
-    duration: float = 3600.0  # s
+    base_load: float = bounded(">= 0", 40.0)  # W, computer plus sensors
+    gait_period: float = bounded("> 0", 1.0)  # s
+    stride_duty: float = bounded("in (0, 1]", 0.6)  # fraction of the period under stride load
+    mech_peak: float = bounded(">= 0", 0.0)  # W mechanical at the joints
+    servo_efficiency: float = bounded("in (0, 1]", 0.5)  # electrical to mechanical
+    duration: float = bounded("> 0", 3600.0)  # s
 
     def __post_init__(self):
-        require_finite(self)
-        if self.base_load < 0:
-            raise ValidationError("base_load must be >= 0")
-        if self.gait_period <= 0:
-            raise ValidationError("gait_period must be > 0")
-        if not 0.0 < self.stride_duty <= 1.0:
-            raise ValidationError("stride_duty must be in (0, 1]")
-        if self.mech_peak < 0:
-            raise ValidationError("mech_peak must be >= 0")
-        if not 0.0 < self.servo_efficiency <= 1.0:
-            raise ValidationError("servo_efficiency must be in (0, 1]")
-        if self.duration <= 0:
-            raise ValidationError("duration must be > 0")
+        check_fields(self)
 
     @property
     def stride_power(self) -> float:

@@ -162,6 +162,21 @@ def default_dt(profile: PowerProfile) -> float:
     return 1.0 if spacing >= 1.0 - 1e-9 else 0.01
 
 
+def checked_dt(profile: PowerProfile, dt: float | None) -> float:
+    """The step a run of the profile takes: default_dt when dt is None. It
+    must be finite and > 0 and cut one pass into at most MAX_PASS_STEPS
+    steps, or ValidationError is raised."""
+    if dt is None:
+        dt = default_dt(profile)
+    if not 0.0 < dt < math.inf:
+        raise ValidationError("dt must be finite and > 0")
+    if profile.duration / dt > MAX_PASS_STEPS:
+        raise ValidationError(
+            f"dt must be >= {profile.duration / MAX_PASS_STEPS:g} s: one pass "
+            f"of the profile may take at most {MAX_PASS_STEPS:g} steps")
+    return dt
+
+
 def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = None,
              loop_profile: bool = False, *, initial_soc: float | None = None,
              record_flows: bool = False, flow_stride: int = 100) -> SimulationResult:
@@ -208,22 +223,13 @@ def simulate(config: HybridConfig, profile: PowerProfile, dt: float | None = Non
     nothing is ever folded; once something is, the sum of block sums may
     differ from one numpy sum of the window in the last bits.
 
-    dt must be finite and positive, and one pass of the profile at dt at
-    most MAX_PASS_STEPS steps, or ValidationError is raised before the
-    first step. A looped run past MAX_HOURS of simulated time raises
-    RuntimeError; a run that is not looped has no horizon. A looped profile
-    whose held samples (all but the last, which only closes the horizon)
-    are all 0 W drains nothing, so no mode can end it: that raises the same
-    RuntimeError before the first step.
+    dt is read through checked_dt before the first step. A looped run past
+    MAX_HOURS of simulated time raises RuntimeError; a run that is not
+    looped has no horizon. A looped profile whose held samples (all but the
+    last, which only closes the horizon) are all 0 W drains nothing, so no
+    mode can end it: that raises the same RuntimeError before the first step.
     """
-    if dt is None:
-        dt = default_dt(profile)
-    if not 0.0 < dt < math.inf:
-        raise ValidationError("dt must be finite and > 0")
-    if profile.duration / dt > MAX_PASS_STEPS:
-        raise ValidationError(
-            f"dt must be >= {profile.duration / MAX_PASS_STEPS:g} s: one pass "
-            f"of the profile may take at most {MAX_PASS_STEPS:g} steps")
+    dt = checked_dt(profile, dt)
     if not (1 <= flow_stride < math.inf and flow_stride % 1 == 0):
         raise ValidationError("flow_stride must be a whole number >= 1")
     limit_s = MAX_HOURS * 3600.0 if loop_profile else math.inf

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InfeasibleError, ValidationError, require_finite
+from .errors import InfeasibleError, ValidationError, bounded, check_fields
 from .powertrain import FUEL_SPECIFIC_ENERGY, STACK_SPECIFIC_POWER, BatterySpec, \
     FuelCellStackSpec, FuelTankSpec, ElectronicsSpec, fc_life, fuel_energy
 from .profile import PowerProfile, profile_stats
@@ -31,7 +31,7 @@ from .simulator import (
     MODE_DIRECT,
     MODE_HYBRID,
     SimulationResult,
-    default_dt,
+    checked_dt,
     run_time_constant_load,
     simulate,
 )
@@ -52,39 +52,25 @@ def _to_gram(mass_kg: float) -> float:
 class SizingConstants:
     """Specific figures the allocator works from. SI masses, Wh energies."""
 
-    stack_specific_power: float = STACK_SPECIFIC_POWER  # W/kg
-    battery_specific_power: float = 1850.0  # W/kg
-    battery_specific_energy: float = 90.0  # Wh/kg
-    fuel_specific_energy: float = FUEL_SPECIFIC_ENERGY  # Wh/kg, electrical side
-    electronics_mass: float = 0.115  # kg
+    stack_specific_power: float = bounded("> 0", STACK_SPECIFIC_POWER)  # W/kg
+    battery_specific_power: float = bounded("> 0", 1850.0)  # W/kg
+    battery_specific_energy: float = bounded(">= 0", 90.0)  # Wh/kg
+    fuel_specific_energy: float = bounded("> 0", FUEL_SPECIFIC_ENERGY)  # Wh/kg, electrical side
+    electronics_mass: float = bounded(">= 0", 0.115)  # kg
 
     def __post_init__(self):
-        require_finite(self)
-        if self.stack_specific_power <= 0:
-            raise ValidationError("stack_specific_power must be > 0")
-        if self.battery_specific_power <= 0:
-            raise ValidationError("battery_specific_power must be > 0")
-        if self.battery_specific_energy < 0:
-            raise ValidationError("battery_specific_energy must be >= 0")
-        if self.fuel_specific_energy <= 0:
-            raise ValidationError("fuel_specific_energy must be > 0")
-        if self.electronics_mass < 0:
-            raise ValidationError("electronics_mass must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class SizingInputs:
-    mass_budget: float  # kg for the whole supply
-    steady_power: float  # W the stack must sustain
+    mass_budget: float = bounded("> 0")  # kg for the whole supply
+    steady_power: float = bounded(">= 0")  # W the stack must sustain
     peak_power: float  # W the supply must survive
     constants: SizingConstants = SizingConstants()
 
     def __post_init__(self):
-        require_finite(self)
-        if self.mass_budget <= 0:
-            raise ValidationError("mass_budget must be > 0")
-        if self.steady_power < 0:
-            raise ValidationError("steady_power must be >= 0")
+        check_fields(self)
         if self.peak_power < self.steady_power:
             raise ValidationError("peak_power must be >= steady_power")
 
@@ -354,10 +340,7 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     """
     if setpoint < 0:
         raise ValidationError("setpoint must be >= 0")
-    if dt is None:
-        dt = default_dt(profile)
-    elif not 0.0 < dt < math.inf:
-        raise ValidationError("dt must be finite and > 0")
+    dt = checked_dt(profile, dt)
     sized = _supply(inputs, setpoint)
     config = sized.config
     fuel_wh = fuel_energy(config.tank)

@@ -238,6 +238,14 @@ class TestCompareCommand:
         assert captured.out == ""
         assert captured.err == "error: comparison load basis must be finite and > 0\n"
 
+    def test_value_outside_its_range_names_the_section(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[battery]\nmass = -1\n")
+        assert main(["compare", "--config", str(ini)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [battery] mass must be >= 0\n"
+
     def test_label_with_a_comma_stays_one_cell(self, tmp_path, capsys):
         ini = tmp_path / "pack.ini"
         ini.write_text("[system]\nmode = battery_only\n[fuel_cell]\nmass = 0\n"

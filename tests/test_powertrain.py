@@ -347,3 +347,39 @@ class TestNonFiniteFields:
             "FuelCellStackSpec", "BatterySpec", "FuelTankSpec", "ElectronicsSpec",
             "ControllerParams", "DegradationParams", "SizingConstants", "SizingInputs",
             "GaitParams"}
+
+    def test_named_before_a_field_out_of_its_range(self):
+        # mass breaks its range first, but NaN in a later field is named
+        with pytest.raises(ValidationError, match="^specific_energy must be finite"):
+            BatterySpec("test", -1.0, math.nan, 1.0)
+
+
+# float init fields checked against other fields, so they declare no range
+CROSS_CHECKED = {"FuelCellStackSpec.cell_voltage", "FuelCellStackSpec.ideal_voltage",
+                 "BatterySpec.soc_min", "BatterySpec.soc_max", "SizingInputs.peak_power"}
+# the values at each declared range's edges: (accepted, rejected)
+EDGES = {">= 0": ([0.0], [-1e-12]),
+         "> 0": ([math.ulp(0.0)], [0.0]),
+         "in (0, 1]": ([1.0], [0.0, math.nextafter(1.0, 2.0)])}
+
+
+def declared_range(spec, name):
+    return next(f for f in fields(spec) if f.name == name).metadata.get("range")
+
+
+class TestDeclaredRanges:
+    def test_every_field_declares_one_but_the_cross_checked(self):
+        undeclared = {p.id for p in spec_fields() if declared_range(*p.values) is None}
+        assert undeclared == CROSS_CHECKED
+
+    @pytest.mark.parametrize("spec, name", [p for p in spec_fields()
+                                            if p.id not in CROSS_CHECKED])
+    def test_edges(self, spec, name):
+        allowed = declared_range(spec, name)
+        accepted, rejected = EDGES[allowed]
+        for value in accepted:
+            assert getattr(replace(spec, **{name: value}), name) == value
+        for value in rejected:
+            with pytest.raises(ValidationError) as info:
+                replace(spec, **{name: value})
+            assert str(info.value) == f"{name} must be {allowed}"

@@ -480,6 +480,15 @@ class TestEvaluateSetpoint:
         with pytest.raises(ValidationError, match="dt"):
             evaluate_setpoint(flat_profile(45.0), INPUTS, 45.0, dt=1e-300)
 
+    @pytest.mark.parametrize("budget", [0.3, 1.2])
+    def test_dt_too_fine_is_refused_whatever_the_budget(self, budget, simulations):
+        # simulate's dt rule holds before the budget is judged: a supply
+        # over budget must not turn a refused step into an evaluation
+        inputs = SizingInputs(budget, 45.0, 250.0)
+        with pytest.raises(ValidationError, match=r"^dt must be >= 6e-06 s: "):
+            evaluate_setpoint(flat_profile(45.0), inputs, 45.0, dt=1e-300)
+        assert simulations == []
+
     @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
     def test_step_must_be_finite_and_positive(self, dt, simulations):
         # an infinite step must not read as a tank short of one pass
