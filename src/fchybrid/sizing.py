@@ -127,9 +127,10 @@ def supply_label(mode: str, chemistry: str = "") -> str:
 
 
 def _stack(power: float, c: SizingConstants) -> FuelCellStackSpec:
-    """The stack of whole grams sized for the given power."""
-    return FuelCellStackSpec.from_mass(_to_gram(power / c.stack_specific_power),
-                                       specific_power=c.stack_specific_power)
+    """The stack of whole grams sized for the given power, at least 1 g for
+    a power above 0 W."""
+    mass = max(_to_gram(power / c.stack_specific_power), 0.001 if power > 0 else 0.0)
+    return FuelCellStackSpec.from_mass(mass, specific_power=c.stack_specific_power)
 
 
 def rate(config: HybridConfig, pack_load: float,

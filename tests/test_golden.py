@@ -198,6 +198,9 @@ REPORTS = {
     "sizing-int-inputs": lambda: size_battery_only(presets.NIMH_TEMPLATE, 1, 16),
     # a 0.150 kg stack rated 45.0 W, below the 45.1 W draw
     "sizing-hybrid-rounded-stack": lambda: size_hybrid(SizingInputs(1.2, 45.1, 250.0)),
+    # a 0.14 W and a 0.1 W draw: a stack under 0.5 g, rounded up to 1 g
+    "sizing-direct-gram-floor": lambda: size_direct_fc(SizingInputs(1.2, 0.07, 250.0)),
+    "sizing-hybrid-gram-floor": lambda: size_hybrid(SizingInputs(1.2, 0.1, 250.0)),
     # a 25 W pack at 30 W
     "sizing-nimh-over-bound": lambda: size_battery_only(presets.NIMH_TEMPLATE, 0.1, 30.0),
     "compare-table1": lambda: compare(presets.comparison_configs()),
@@ -223,6 +226,8 @@ REPORT_GOLDEN = {
     "sizing-infeasible": "505541707bab7b5c2f5409e83098eeb5198947562327cf088062b1d7d95ddaf9",
     "sizing-int-inputs": "73c6ba17748b8e5987eba08d4be3e90db5b7d305fd07c7bf4408ba58f9888c0d",
     "sizing-hybrid-rounded-stack": "bbfb8d4c3041de72fe8f6c4dfc01f018eb1d8667dc8b9c0458adb580ee01f5f7",
+    "sizing-direct-gram-floor": "7c2dee26d1e5357aa4bb64d9cc29c4aca8a66f7fb18e6afa6fbc5cd15b4d02ca",
+    "sizing-hybrid-gram-floor": "25d39ee52ff850eb84ea3151df8472b99648a2d15ee768c302543cafa5438fb1",
     "sizing-nimh-over-bound": "ff1e99ab08c1139468de87fbfa4a0ec52d5e0ed8cabc5371cc2f3f53f6e76584",
     "compare-table1": "96c1656d05f26ae3f4e8d802995fd798424cdfbcc53ebe3b0494e51d4a827a95",
     "compare-configs": "96c1656d05f26ae3f4e8d802995fd798424cdfbcc53ebe3b0494e51d4a827a95",

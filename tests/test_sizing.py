@@ -214,6 +214,18 @@ class TestSizeDirectFc:
         r = size_direct_fc(SizingInputs(1.2, 45.0, 90.0))
         assert r.warnings == []
 
+    @pytest.mark.parametrize("allocate, steady", [(size_direct_fc, 0.07),
+                                                  (size_hybrid, 0.1)])
+    def test_a_draw_gets_at_least_a_gram_of_stack(self, allocate, steady):
+        # the draw needs under half a gram of stack, which rounds to 0 g; a
+        # 0 g stack sources none of the draw yet was rated to run forever
+        r = allocate(SizingInputs(1.2, steady, 250.0))
+        assert r.stack_mass == 0.001
+        assert r.config.stack.rated_power == 0.3
+        assert r.load_basis == steady
+        assert r.run_time < math.inf
+        assert r.feasible
+
     def test_stack_alone_can_bust_budget(self):
         r = size_direct_fc(SizingInputs(0.25, 45.0, 250.0))
         assert not r.feasible
@@ -307,7 +319,7 @@ class TestInternalConsistency:
     @example(budget=1.2, steady=0.0, extra_peak=0.0, electronics=0.115)
     # a hybrid stack rounded to 0.150 kg, rated 45.0 W below the draw
     @example(budget=1.2, steady=45.1, extra_peak=204.9, electronics=0.115)
-    # a direct stack rounded to 0 g under a draw: a 0 W basis
+    # a direct stack under half a gram for a draw, rounded up to 1 g
     @example(budget=1.2, steady=0.07, extra_peak=249.93, electronics=0.115)
     def test_fuel_takes_what_the_parts_leave(self, allocate, budget, steady,
                                              extra_peak, electronics):
@@ -332,6 +344,7 @@ class TestInternalConsistency:
         assert (r.stack_mass, r.battery_mass, r.fuel_mass, r.electronics_mass) == (
             cfg.stack.mass, cfg.battery.mass, cfg.tank.fuel_mass, cfg.electronics.mass)
         assert cfg.mode == r.mode
+        assert (cfg.stack.mass > 0) == (steady > 0)
         assert cfg.effective_setpoint == min(steady, cfg.stack.rated_power)
         assert r.load_basis == cfg.effective_setpoint
         if r.load_basis > 0:
