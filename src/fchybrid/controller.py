@@ -24,8 +24,7 @@ from .powertrain import BatterySpec, BatteryState, battery_step
 class ControllerParams:
     fc_setpoint: float = bounded(">= 0")  # W commanded from the stack
     filter_time_constant: float = bounded("> 0", 1.0)  # s, first-order suppression filter
-    # charge power cap as fraction of pack max
-    trickle_headroom: float = bounded("in (0, 1]", 1.0)
+    trickle_headroom: float = bounded("in (0, 1]", 1.0)  # charge power cap, fraction of pack max
 
     def __post_init__(self):
         check_fields(self)
