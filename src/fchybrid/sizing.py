@@ -19,7 +19,7 @@ and the stack ceiling simulate uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InfeasibleError, ValidationError, bounded, check_fields
 from .powertrain import FUEL_SPECIFIC_ENERGY, STACK_SPECIFIC_POWER, BatterySpec, \
@@ -30,7 +30,6 @@ from .simulator import (
     MODE_BATTERY,
     MODE_DIRECT,
     MODE_HYBRID,
-    SimulationResult,
     checked_dt,
     run_time_constant_load,
     simulate,
@@ -282,9 +281,13 @@ class SetpointEvaluation:
     system_life: float  # h
     unmet_energy: float  # Wh within the judged pass
     net_drain_wh: float  # battery energy lost per steady pass, Wh stored
-    feasible: bool  # meets demand and sustains the battery
     reason: str  # first failed constraint when infeasible
     sizing: SizingResult
+
+    @property
+    def feasible(self) -> bool:
+        """Meets demand and sustains the battery."""
+        return not self.reason
 
 
 def _supply(inputs: SizingInputs, setpoint: float) -> SizingResult:
@@ -302,8 +305,7 @@ def _drain_tolerance(config: HybridConfig) -> float:
 
 
 def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
-                      setpoint: float, *, dt: float | None = None,
-                      memo: dict[HybridConfig, SimulationResult] | None = None
+                      setpoint: float, *, dt: float | None = None
                       ) -> SetpointEvaluation:
     """Size a hybrid for the given setpoint and judge one settled pass.
 
@@ -327,17 +329,8 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     bound: a stack above the load throttles to it, so some supplies it
     fails would carry the pass on the fuel they have.
 
-    memo, when given, maps each supply to its settled pass and spares the
-    two passes of a supply already simulated. The stack is sized to whole
-    grams and simulate reads the setpoint only as the configuration's
-    effective_setpoint, so every setpoint from a gram's rated power up to
-    the next rounding edge builds one supply; the key is the configuration,
-    whose fc_setpoint is already that effective one (size_hybrid).
-    The passes also depend on the profile and dt, which the key leaves
-    out: share a memo only among calls with one profile and one dt, as
-    optimize_setpoint does within one search.
-    Sizing, life and the feasibility tests run as without it, so the
-    evaluation is the same.
+    The setpoint is read only through the supply it builds, so two
+    setpoints that build one supply get evaluations equal but for setpoint.
     """
     if setpoint < 0:
         raise ValidationError("setpoint must be >= 0")
@@ -347,14 +340,10 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     fuel_wh = fuel_energy(config.tank)
     if (not sized.feasible
             or fuel_wh < config.effective_setpoint * (profile.duration + dt) / 3600.0):
-        return SetpointEvaluation(setpoint, 0.0, 0.0, 0.0, 0.0, False,
+        return SetpointEvaluation(setpoint, 0.0, 0.0, 0.0, 0.0,
                                   "mass_budget", sized)
-    res = memo.get(config) if memo is not None else None
-    if res is None:
-        settle = simulate(config, profile, dt=dt)
-        res = simulate(config, profile, dt=dt, initial_soc=settle.soc_final)
-        if memo is not None:
-            memo[config] = res
+    settle = simulate(config, profile, dt=dt)
+    res = simulate(config, profile, dt=dt, initial_soc=settle.soc_final)
     pass_h = res.run_time
     net_drain = (res.soc_initial - res.soc_final) * config.battery.capacity_wh
     burn_rate = (res.fuel_consumed * config.tank.specific_energy_electric
@@ -363,14 +352,14 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     life = system_life(config, run_time=pass_h, battery_cycles=res.battery_cycles,
                        ripple=res.ripple)
     if res.unmet_energy > 1e-9:
-        feasible, reason = False, "unmet_demand"
+        reason = "unmet_demand"
     elif (net_drain > _drain_tolerance(config)
           and res.soc_high < config.battery.soc_max):
-        feasible, reason = False, "battery_drain"
+        reason = "battery_drain"
     else:
-        feasible, reason = True, ""
+        reason = ""
     return SetpointEvaluation(setpoint, run_time, life, res.unmet_energy,
-                              net_drain, feasible, reason, sized)
+                              net_drain, reason, sized)
 
 
 def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs, *,
@@ -404,19 +393,22 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs, *,
     they still narrow the bracket, and the midpoint is judged itself. So
     every midpoint gets the answer its own judgement would give, and the
     answer is plain bisection's, from about 4 judged setpoints on a 60 s
-    gait where plain bisection judges about 12. Setpoints that build the same
-    supply share one memo of settled passes (see evaluate_setpoint), so
-    each supply is simulated once per search.
+    gait where plain bisection judges about 12. A setpoint whose supply
+    was judged takes that judgement (see evaluate_setpoint), so each
+    supply is evaluated once per search.
     Deterministic. If no feasible setpoint is found, raises InfeasibleError
     naming the binding constraint: unmet_demand when every setpoint up to
     peak_power is too low, otherwise mass_budget.
     """
     cache: dict[float, SetpointEvaluation] = {}
-    memo: dict[HybridConfig, SimulationResult] = {}
 
     def judge(x: float) -> SetpointEvaluation:
         if x not in cache:
-            cache[x] = evaluate_setpoint(profile, inputs, x, dt=dt, memo=memo)
+            config = _supply(inputs, x).config
+            same = next((ev for ev in cache.values()
+                         if ev.sizing.config == config), None)
+            cache[x] = (replace(same, setpoint=x) if same is not None
+                        else evaluate_setpoint(profile, inputs, x, dt=dt))
         return cache[x]
 
     def too_low(x: float) -> bool:
@@ -453,7 +445,7 @@ def optimize_setpoint(profile: PowerProfile, inputs: SizingInputs, *,
         y = max((x for x in cache if lo <= x <= hi and too_low(x)), default=None)
         if y is None or cache[y].reason != "battery_drain":
             return None
-        config = _supply(inputs, y).config
+        config = cache[y].sizing.config
         return config.effective_setpoint + (
             (cache[y].net_drain_wh - _drain_tolerance(config))
             * 3600.0 / profile.duration)

@@ -522,15 +522,31 @@ class TestEvaluateSetpoint:
         assert above.run_time < at_load.run_time
 
 
+def supply(inputs, setpoint):
+    """The configuration of the hybrid sized for a setpoint."""
+    return size_hybrid(SizingInputs(inputs.mass_budget, setpoint, inputs.peak_power,
+                                    inputs.constants)).config
+
+
+def judgement(evaluations, inputs, setpoint):
+    """The judgement a setpoint takes from these evaluations: that of its
+    supply, at the setpoint, or None if its supply was not evaluated."""
+    config = supply(inputs, setpoint)
+    return next((replace(ev, setpoint=setpoint) for ev in evaluations
+                 if ev.sizing.config == config), None)
+
+
 def plain_bisection(profile, inputs, *, dt):
     """optimize_setpoint as plain bisection, judging every setpoint it asks
     about: the walk to a bracket of the edge of the too-low setpoints, then
-    a bisection of that bracket to 1e-4 W."""
-    cache, memo = {}, {}
+    a bisection of that bracket to 1e-4 W. A setpoint whose supply was
+    judged takes that judgement."""
+    cache = {}
 
     def judge(x):
         if x not in cache:
-            cache[x] = evaluate_setpoint(profile, inputs, x, dt=dt, memo=memo)
+            cache[x] = (judgement(cache.values(), inputs, x)
+                        or evaluate_setpoint(profile, inputs, x, dt=dt))
         return cache[x]
 
     def too_low(x):
@@ -620,9 +636,11 @@ class TestOptimizeSetpoint:
     def test_answer_sits_on_the_feasibility_edge(self, profile, dt, evaluations):
         best, _ = optimize_setpoint(profile, INPUTS, dt=dt)
         assert best > 0.0
-        by_setpoint = {ev.setpoint: ev for ev in evaluations}
+        # a setpoint counts as judged when its supply was evaluated
+        by_setpoint = {x: judgement(evaluations, INPUTS, x) for x in (
+            *(ev.setpoint for ev in evaluations), best, best - REFINE)}
         assert by_setpoint[best].feasible
-        assert any(best - REFINE <= x < best and not ev.feasible
+        assert any(best - REFINE <= x < best and ev is not None and not ev.feasible
                    for x, ev in by_setpoint.items())
 
     def test_infinite_step_rejected_before_any_evaluation(self, evaluations):
@@ -748,10 +766,8 @@ class TestOptimizeSetpoint:
         for grams in stack_g:
             inputs = SizingInputs(grams / 1000.0 + fixed.battery_mass
                                   + fixed.electronics_mass, 0.0, 100.0)
-            memo = {}
             feasible = [x for x in (average + 0.05 * k for k in range(-20, 31))
-                        if evaluate_setpoint(gait, inputs, x, dt=0.1,
-                                             memo=memo).feasible]
+                        if evaluate_setpoint(gait, inputs, x, dt=0.1).feasible]
             try:
                 best, _ = optimize_setpoint(gait, inputs, dt=0.1)
             except InfeasibleError as err:
@@ -798,80 +814,88 @@ class TestOptimizeSetpoint:
                               for k in range(-7, 7)),
                             *(min(max(average + 0.05 * k, 0.0), peak)
                               for k in range(-10, 31))})
-        memo = {}
         kinds = ""
         for x in setpoints:
-            ev = evaluate_setpoint(gait, inputs, x, dt=0.1, memo=memo)
+            ev = evaluate_setpoint(gait, inputs, x, dt=0.1)
             kinds += "o" if ev.feasible else "H" if ev.reason == "mass_budget" else "L"
         assert re.fullmatch("L*o*H*", kinds), kinds
 
 
 GAIT_10 = synthesize_walk_profile(GaitParams(mech_peak=10.0, duration=60.0))
-# the setpoints a search without a memo judges on GAIT_10, taken from such
-# a search: the walk's two, then the two ends of the predicted bracket
+# the setpoints a search judges on GAIT_10: the walk's two, then the two
+# ends of the predicted bracket; the lower end, 52.0499 W, builds 52 W's
+# 0.173 kg stack capped at 51.9 W and takes its judgement
 GAIT_10_SETPOINTS = [
     52.000000000000014, 52.100000000000016, 52.04990234375001, 52.05000000000001,
 ]
 # GAIT_10 and the flat 37 W load revisit supplies, WALK never does; on the
 # flat load every setpoint from 36.9 W up to the rounding edge at 37.05 W
 # builds the one 0.123 kg, 36.9 W supply
-SEARCHES = pytest.mark.parametrize("profile, dt, shares", [
-    (GAIT_10, 0.02, True),
-    (flat_profile(37.0), 1.0, True),
-    (synthesize_walk_profile(WALK), 0.02, False),
+SEARCHES = pytest.mark.parametrize("profile, dt", [
+    (GAIT_10, 0.02),
+    (flat_profile(37.0), 1.0),
+    (synthesize_walk_profile(WALK), 0.02),
 ], ids=["gait-10", "flat-37", "walk"])
 
 
-class TestSettledPassMemo:
+class TestOneJudgementPerSupply:
     @SEARCHES
-    def test_answer_is_that_of_a_search_without_it(self, profile, dt, shares,
-                                                   monkeypatch):
-        shared = optimize_setpoint(profile, INPUTS, dt=dt)
-        evaluate = sizing.evaluate_setpoint
-
-        def unshared(*args, memo=None, **kwargs):
-            return evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(sizing, "evaluate_setpoint", unshared)
-        alone = optimize_setpoint(profile, INPUTS, dt=dt)
-        assert repr((shared[0], astuple(shared[1]))) == \
-            repr((alone[0], astuple(alone[1])))
-
-    @SEARCHES
-    def test_repeated_supplies_are_simulated_once(self, profile, dt, shares,
-                                                  evaluations, simulations):
+    def test_each_supply_is_evaluated_once(self, profile, dt, evaluations,
+                                           simulations):
         optimize_setpoint(profile, INPUTS, dt=dt)
-        if shares:
-            assert len(simulations) < 2 * len(evaluations)
-        else:
-            assert len(simulations) == 2 * len(evaluations)
+        configs = [ev.sizing.config for ev in evaluations]
+        assert all(a != b for i, a in enumerate(configs) for b in configs[i + 1:])
+        simulated = [ev for ev in evaluations if ev.reason != "mass_budget"]
+        assert len(simulations) == 2 * len(simulated)
 
-    def test_setpoint_sequence_is_unchanged(self, evaluations, monkeypatch):
-        # sharing settled passes must not move a judged setpoint
+    @SEARCHES
+    def test_answer_is_plain_bisections(self, profile, dt):
+        best, sized = optimize_setpoint(profile, INPUTS, dt=dt)
+        plain = plain_bisection(profile, INPUTS, dt=dt)
+        assert repr((best, astuple(sized))) == repr((plain[0], astuple(plain[1])))
+
+    def test_setpoint_sequence_is_unchanged(self, evaluations):
         optimize_setpoint(GAIT_10, INPUTS, dt=0.02)
-        shared = [ev.setpoint for ev in evaluations]
-        evaluations.clear()
-        evaluate = sizing.evaluate_setpoint
+        evaluated = [GAIT_10_SETPOINTS[i] for i in (0, 1, 3)]
+        assert [ev.setpoint for ev in evaluations] == evaluated
+        assert all(judgement(evaluations, INPUTS, x) is not None
+                   for x in GAIT_10_SETPOINTS)
 
-        def unshared(*args, memo=None, **kwargs):
-            return evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(sizing, "evaluate_setpoint", unshared)
-        optimize_setpoint(GAIT_10, INPUTS, dt=0.02)
-        assert shared == [ev.setpoint for ev in evaluations] == GAIT_10_SETPOINTS
-
-    def test_setpoints_above_rated_power_share_a_supply(self, simulations):
+    def test_setpoints_above_rated_power_build_one_supply(self):
         # 0.15 kg of stack is rated 45 W: 45.1 W builds the 45 W supply,
         # while 44.9 W caps the same stack lower and is a supply of its own
-        walk = synthesize_walk_profile(WALK)
-        memo = {}
-        for x, total in ((45.0, 2), (45.1, 2), (44.9, 4)):
-            ev = evaluate_setpoint(walk, INPUTS, x, dt=0.02, memo=memo)
-            assert ev.sizing.stack_mass == 0.15
-            assert len(simulations) == total
-            assert ev == evaluate_setpoint(walk, INPUTS, x, dt=0.02)
-            del simulations[total:]
-        assert len(memo) == 2
+        assert supply(INPUTS, 45.1) == supply(INPUTS, 45.0) != supply(INPUTS, 44.9)
+        assert supply(INPUTS, 44.9).stack.mass == 0.15
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=40)
+    @given(base=st.floats(min_value=10.0, max_value=55.0),
+           mech_peak=st.floats(min_value=0.0, max_value=25.0),
+           duty=st.floats(min_value=0.3, max_value=0.8),
+           period=st.floats(min_value=0.5, max_value=3.0),
+           grams=st.integers(min_value=-6, max_value=6),
+           fuel_g=st.integers(min_value=-2, max_value=30),
+           above=st.lists(st.floats(min_value=0.0, max_value=0.99),
+                          min_size=2, max_size=2))
+    def test_setpoints_of_one_supply_are_judged_alike(
+            self, base, mech_peak, duty, period, grams, fuel_g, above):
+        """Two setpoints between one gram's rating and its rounding edge
+        build one supply, and their evaluations are equal but for the
+        setpoint: the sharing rule the search's cache relies on."""
+        gait = synthesize_walk_profile(GaitParams(
+            base_load=base, mech_peak=mech_peak, stride_duty=duty,
+            gait_period=period, duration=20.0))
+        c = INPUTS.constants
+        stack_g = round(profile_stats(gait).average_power / 0.3) + grams
+        rated = stack_g / 1000.0 * c.stack_specific_power
+        fixed = size_hybrid(SizingInputs(1.0, 0.0, 250.0))
+        inputs = SizingInputs((stack_g + fuel_g) / 1000.0 + fixed.battery_mass
+                              + fixed.electronics_mass, 0.0, 250.0)
+        a, b = (rated + f * 0.5e-3 * c.stack_specific_power for f in above)
+        assert supply(inputs, a) == supply(inputs, b)
+        judged = evaluate_setpoint(gait, inputs, a, dt=0.1)
+        event(judged.reason or "feasible")
+        assert judged == replace(evaluate_setpoint(gait, inputs, b, dt=0.1),
+                                 setpoint=a)
 
 
 class TestBatteryTemplate:
