@@ -132,8 +132,7 @@ def _stack(power: float, c: SizingConstants) -> FuelCellStackSpec:
     return FuelCellStackSpec.from_mass(mass, specific_power=c.stack_specific_power)
 
 
-def rate(config: HybridConfig, pack_load: float,
-         mass_budget: float | None = None) -> SizingResult:
+def rate(config: HybridConfig, pack_load: float) -> SizingResult:
     """The sizing of any supply, every figure read from its parts.
 
     A pack runs from full at pack_load. A fuel supply runs on its fuel
@@ -142,9 +141,9 @@ def rate(config: HybridConfig, pack_load: float,
     run time is run_time_constant_load at that load basis (endless at
     0 W) and the life system_life's over it. The peak capability is the
     stack_ceiling simulate caps the stack at plus the pack's power bound.
-    system_energy_density divides the stored energy by mass_budget, the
-    supply's total mass when left out. The result is feasible and has no
-    warnings; an allocator that finds otherwise sets both.
+    system_energy_density divides the stored energy by the supply's total
+    mass, and is 0 for a supply of no mass. The result is feasible and has
+    no warnings; an allocator that finds otherwise sets both.
     """
     battery, tank = config.battery, config.tank
     if config.mode == MODE_BATTERY:
@@ -154,7 +153,7 @@ def rate(config: HybridConfig, pack_load: float,
         density, initial_soc = tank.specific_energy_electric, battery.soc_min
     run_time = (run_time_constant_load(config, load, initial_soc=initial_soc)
                 if load > 0 else math.inf)
-    mass = config.total_mass if mass_budget is None else mass_budget
+    mass = config.total_mass
     stored = fuel_energy(tank) + battery.capacity_wh
     return SizingResult(
         mode=config.mode,
@@ -194,7 +193,7 @@ def _fuel_supply(inputs: SizingInputs, mode: str, stack: FuelCellStackSpec,
         controller=ControllerParams(fc_setpoint=min(inputs.steady_power,
                                                     stack.rated_power)),
         mode=mode)
-    sized = rate(config, 0.0, inputs.mass_budget)  # a fuel supply has no pack load
+    sized = rate(config, 0.0)  # a fuel supply has no pack load
     sized.feasible = fuel_mass >= -1e-12
     if not sized.feasible:
         sized.warnings.append(over_budget)
@@ -242,7 +241,7 @@ def size_battery_only(template: BatterySpec, mass_budget: float,
         stack=FuelCellStackSpec.from_mass(0.0), battery=template.scaled(mass_budget),
         tank=FuelTankSpec(0.0), controller=ControllerParams(fc_setpoint=0.0),
         mode=MODE_BATTERY)
-    return rate(config, average_load, mass_budget)
+    return rate(config, average_load)
 
 
 def system_life(config: HybridConfig, run_time: float | None = None, *,

@@ -47,6 +47,9 @@ rounds to 0.150 kg rated 45.0 W, and now reads 88 h, a 45 W basis and
 emits what ``sizing-hybrid`` does: both build one supply.
 ``sizing-nimh-over-bound`` loads a 0.1 kg NiMH pack, which sources
 25 W, at 30 W: it now runs, and lives, 0 h (it read 0.133 h).
+``sizing-hybrid-over-budget`` was added when the system energy density
+came to divide by the supply's own mass: its 0.4 kg of parts over a
+0.3 kg budget read 30.375 Wh/kg (12.15 Wh over the budget read 40.5).
 
 The scenarios cross the four presets (all three modes) and a lossy hybrid
 (non-unit converter and battery efficiencies, a raised SOC floor, reduced
@@ -203,6 +206,8 @@ REPORTS = {
     "sizing-hybrid-gram-floor": lambda: size_hybrid(SizingInputs(1.2, 0.1, 250.0)),
     # a 25 W pack at 30 W
     "sizing-nimh-over-bound": lambda: size_battery_only(presets.NIMH_TEMPLATE, 0.1, 30.0),
+    # 0.4 kg of parts and no fuel over a 0.3 kg budget
+    "sizing-hybrid-over-budget": lambda: size_hybrid(SizingInputs(0.3, 45.0, 250.0)),
     "compare-table1": lambda: compare(presets.comparison_configs()),
     "compare-configs": lambda: compare(presets.comparison_configs()),
     "rows-empty": lambda: [],
@@ -229,6 +234,7 @@ REPORT_GOLDEN = {
     "sizing-direct-gram-floor": "7c2dee26d1e5357aa4bb64d9cc29c4aca8a66f7fb18e6afa6fbc5cd15b4d02ca",
     "sizing-hybrid-gram-floor": "25d39ee52ff850eb84ea3151df8472b99648a2d15ee768c302543cafa5438fb1",
     "sizing-nimh-over-bound": "ff1e99ab08c1139468de87fbfa4a0ec52d5e0ed8cabc5371cc2f3f53f6e76584",
+    "sizing-hybrid-over-budget": "5b15d0efffce0a37bd41cf905a49859693e03bd92daf931fd44a8c2a0edb3af2",
     "compare-table1": "96c1656d05f26ae3f4e8d802995fd798424cdfbcc53ebe3b0494e51d4a827a95",
     "compare-configs": "96c1656d05f26ae3f4e8d802995fd798424cdfbcc53ebe3b0494e51d4a827a95",
     "rows-empty": "c17570ad2dc642b11f733cce8555c7d79fb562dedb2b032cd9ab366be0d26e14",

@@ -165,6 +165,9 @@ class TestSizeHybrid:
         assert r.fuel_mass == 0.0
         assert len(r.warnings) == 1
         assert "budget" in r.warnings[0]
+        # the pack's 12.15 Wh over the 0.4 kg of parts, not the 0.3 kg budget
+        assert r.config.total_mass == 0.4
+        assert r.system_energy_density == 30.375
 
     @pytest.mark.parametrize("steady, capability, warned", [
         (0.0, 249.75, True), (0.2, 249.95, True), (0.5, 250.25, False)])
