@@ -86,11 +86,11 @@ class BatterySpec:
     max_power_w: float = field(init=False, repr=False, compare=False)  # W
 
     def __post_init__(self):
+        object.__setattr__(self, "capacity_wh", self.mass * self.specific_energy)
+        object.__setattr__(self, "max_power_w", self.mass * self.specific_power)
         check_fields(self)
         if not 0.0 <= self.soc_min < self.soc_max <= 1.0:
             raise ValidationError("need 0 <= soc_min < soc_max <= 1")
-        object.__setattr__(self, "capacity_wh", self.mass * self.specific_energy)
-        object.__setattr__(self, "max_power_w", self.mass * self.specific_power)
 
     def scaled(self, mass: float) -> "BatterySpec":
         """Same chemistry at a different pack mass."""
@@ -222,6 +222,9 @@ class FuelTankSpec:
 
     def __post_init__(self):
         check_fields(self)
+        if not math.isfinite(energy := fuel_energy(self)):
+            raise ValidationError("fuel_mass * specific_energy_electric must be "
+                                  f"finite, got {energy}")
 
 
 @dataclass(frozen=True)

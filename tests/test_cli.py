@@ -290,6 +290,25 @@ class TestExitCodes:
         assert main(["simulate", "--profile", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, ini, error", [
+        (["size", "--budget", "1e305", "--steady", "45", "--peak", "250"], "",
+         "fuel_mass * specific_energy_electric must be finite, got inf"),
+        (["size", "--mode", "battery_only", "--budget", "1e307", "--chemistry", "liion"],
+         "", "capacity_wh must be finite, got inf"),
+        (["compare"], "[fuel_tank]\nfuel_mass = 1e305\n",
+         "[fuel_tank] fuel_mass * specific_energy_electric must be finite, got inf"),
+    ], ids=["hybrid-fuel", "pack", "ini-fuel"])
+    def test_store_that_overflows_a_float(self, tmp_path, capsys, argv, ini, error):
+        # each read an endless run time for a finite supply, with exit 0
+        if ini:
+            path = tmp_path / "huge.ini"
+            path.write_text(ini)
+            argv = [*argv, "--config", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
     @pytest.mark.parametrize("dt", ["nan", "inf", "0"])
     def test_bad_dt(self, tmp_path, capsys, dt):
         profile = flat_profile_file(tmp_path)

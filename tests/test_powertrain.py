@@ -354,6 +354,18 @@ class TestNonFiniteFields:
             BatterySpec("test", -1.0, math.nan, 1.0)
 
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: FuelTankSpec(fuel_mass=1e305), r"fuel_mass \* specific_energy_electric"),
+        (lambda: pack(capacity_wh=1e300).scaled(1e10), "capacity_wh"),
+        (lambda: pack(power_w=1e300).scaled(1e10), "max_power_w"),
+    ], ids=["fuel-energy", "capacity", "power"])
+    def test_store_that_overflows_a_float(self, build, name):
+        # finite fields whose product, a store's energy or power, is not
+        with pytest.raises(ValidationError, match=f"^{name} must be finite, got inf$"):
+            build()
+        assert math.isfinite(fuel_energy(FuelTankSpec(fuel_mass=3e304)))
+
+
 # float init fields checked against other fields, so they declare no range
 CROSS_CHECKED = {"FuelCellStackSpec.cell_voltage", "FuelCellStackSpec.ideal_voltage",
                  "BatterySpec.soc_min", "BatterySpec.soc_max", "SizingInputs.peak_power"}
