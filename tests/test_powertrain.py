@@ -353,7 +353,6 @@ class TestNonFiniteFields:
         with pytest.raises(ValidationError, match="^specific_energy must be finite"):
             BatterySpec("test", -1.0, math.nan, 1.0)
 
-
     @pytest.mark.parametrize("build, name", [
         (lambda: FuelTankSpec(fuel_mass=1e305), r"fuel_mass \* specific_energy_electric"),
         (lambda: pack(capacity_wh=1e300).scaled(1e10), "capacity_wh"),
