@@ -39,7 +39,6 @@ from .simulator import (
     simulate,
 )
 from .sizing import (
-    SizingConstants,
     SizingInputs,
     SizingResult,
     optimize_setpoint,
@@ -70,7 +69,6 @@ __all__ = [
     "ProfileStats",
     "STACK_SPECIFIC_POWER",
     "SimulationResult",
-    "SizingConstants",
     "SizingInputs",
     "SizingResult",
     "ValidationError",

@@ -18,7 +18,7 @@ from .simulator import HybridConfig
 from .sizing import SizingInputs
 
 # [system] holds HybridConfig's mode; each other supply section one of its
-# components. [sizing] holds the fields of SizingInputs and SizingConstants.
+# components. [sizing] holds the fields of SizingInputs.
 _SUPPLY_SECTIONS = {"fuel_cell": "stack", "battery": "battery", "fuel_tank": "tank",
                     "electronics": "electronics", "controller": "controller",
                     "degradation": "degradation"}
@@ -48,20 +48,20 @@ def _read(path) -> configparser.ConfigParser:
     return cp
 
 
-def _changes(cp: configparser.ConfigParser, section: str, *bases) -> list[dict]:
-    """For each base dataclass, the init fields the section sets, parsed
+def _changes(cp: configparser.ConfigParser, section: str, base) -> dict:
+    """The init fields of the base dataclass that the section sets, parsed
     like their default: text for a string, a float for a number."""
-    changes = [{} for _ in bases]
-    table = {_UNIT_KEYS.get(f.name, f.name): (change, f.name, getattr(base, f.name))
-             for base, change in zip(bases, changes) for f in fields(base)
+    changes = {}
+    table = {_UNIT_KEYS.get(f.name, f.name): (f.name, getattr(base, f.name))
+             for f in fields(base)
              if f.init and isinstance(getattr(base, f.name), (str, int, float))}
     for key, text in cp.items(section) if cp.has_section(section) else ():
         if key not in table:
             raise ValidationError(f"[{section}] unknown key {key!r}, "
                                   f"expected one of {', '.join(table)}")
-        change, name, default = table[key]
+        name, default = table[key]
         try:
-            change[name] = text if isinstance(default, str) else float(text)
+            changes[name] = text if isinstance(default, str) else float(text)
         except ValueError as exc:
             raise ValidationError(f"[{section}] {key}: {exc}") from None
     return changes
@@ -82,24 +82,20 @@ def load_supply_config(path) -> HybridConfig:
     parts = {}
     for section, attr in _SUPPLY_SECTIONS.items():
         component = getattr(base, attr)
-        (changes,) = _changes(cp, section, component)
+        changes = _changes(cp, section, component)
         if attr == "stack" and "rated_power" not in changes:
             changes["rated_power"] = (changes.get("mass", component.mass)
                                       * changes.get("specific_power", component.specific_power))
         parts[attr] = _build(section, component, changes)
-    (system,) = _changes(cp, "system", base)
-    return replace(base, **parts, **system)
+    return replace(base, **parts, **_changes(cp, "system", base))
 
 
 def load_sizing_inputs(path=None, *, mass_budget: float | None = None,
                        steady_power: float | None = None,
                        peak_power: float | None = None) -> SizingInputs:
     """Sizing inputs from a [sizing] section, flag values taking priority."""
-    base = SIZING_INPUTS
-    inputs, constants = ({}, {}) if path is None else _changes(
-        _read(path), "sizing", base, base.constants)
+    changes = {} if path is None else _changes(_read(path), "sizing", SIZING_INPUTS)
     flags = {"mass_budget": mass_budget, "steady_power": steady_power,
              "peak_power": peak_power}
-    inputs.update((k, v) for k, v in flags.items() if v is not None)
-    return _build("sizing", base, dict(
-        inputs, constants=_build("sizing", base.constants, constants)))
+    changes.update((k, v) for k, v in flags.items() if v is not None)
+    return _build("sizing", SIZING_INPUTS, changes)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from .powertrain import BatterySpec
 from .sizing import (
-    SizingConstants,
     SizingInputs,
     SizingResult,
     default_battery_template,
@@ -32,13 +31,10 @@ PEAK_POWER_W = 250.0
 WALK_AVERAGE_W = 45.0
 PACK_COMPARISON_LOAD_W = 16.0  # stock 48 Wh pack over its 3 h endurance
 
-CONSTANTS = SizingConstants()
-
 SIZING_INPUTS = SizingInputs(
     mass_budget=MASS_BUDGET_KG,
     steady_power=WALK_AVERAGE_W,
     peak_power=PEAK_POWER_W,
-    constants=CONSTANTS,
 )
 
 # specific power figures for the stock-pack chemistries are typical
@@ -51,7 +47,7 @@ LIION_TEMPLATE = BatterySpec(
     chemistry="Li-ion", mass=0.0, specific_energy=120.0, specific_power=300.0,
     charge_efficiency=1.0, discharge_efficiency=1.0, cycle_life=1000.0,
     soc_min=0.0, soc_max=1.0)
-NANO_TEMPLATE = default_battery_template(CONSTANTS)
+NANO_TEMPLATE = default_battery_template(SIZING_INPUTS)
 
 
 def nimh_sizing() -> SizingResult:

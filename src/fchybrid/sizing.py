@@ -48,25 +48,18 @@ def _to_gram(mass_kg: float) -> float:
 
 
 @dataclass(frozen=True)
-class SizingConstants:
-    """Specific figures the allocator works from. SI masses, Wh energies."""
+class SizingInputs:
+    """The mission a supply is sized for and the specific figures the
+    allocator works from. SI masses, Wh energies."""
 
+    mass_budget: float = bounded("> 0")  # kg for the whole supply
+    steady_power: float = bounded(">= 0")  # W the stack must sustain
+    peak_power: float  # W the supply must survive
     stack_specific_power: float = bounded("> 0", STACK_SPECIFIC_POWER)  # W/kg
     battery_specific_power: float = bounded("> 0", 1850.0)  # W/kg
     battery_specific_energy: float = bounded(">= 0", 90.0)  # Wh/kg
     fuel_specific_energy: float = bounded("> 0", FUEL_SPECIFIC_ENERGY)  # Wh/kg, electrical side
     electronics_mass: float = bounded(">= 0", 0.115)  # kg
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-@dataclass(frozen=True)
-class SizingInputs:
-    mass_budget: float = bounded("> 0")  # kg for the whole supply
-    steady_power: float = bounded(">= 0")  # W the stack must sustain
-    peak_power: float  # W the supply must survive
-    constants: SizingConstants = SizingConstants()
 
     def __post_init__(self):
         check_fields(self)
@@ -101,14 +94,14 @@ class SizingResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def default_battery_template(constants: SizingConstants = SizingConstants()) -> BatterySpec:
+def default_battery_template(inputs: SizingInputs) -> BatterySpec:
     """Nanophosphate-style pack used when sizing hybrids: sized for power,
     lossless accounting, full usable window."""
     return BatterySpec(
         chemistry="nanophosphate",
         mass=0.0,
-        specific_energy=constants.battery_specific_energy,
-        specific_power=constants.battery_specific_power,
+        specific_energy=inputs.battery_specific_energy,
+        specific_power=inputs.battery_specific_power,
         charge_efficiency=1.0,
         discharge_efficiency=1.0,
         cycle_life=1000.0,
@@ -125,11 +118,12 @@ def supply_label(mode: str, chemistry: str = "") -> str:
     return "fuel cell hybrid" if mode == MODE_HYBRID else "fuel cell"
 
 
-def _stack(power: float, c: SizingConstants) -> FuelCellStackSpec:
+def _stack(power: float, inputs: SizingInputs) -> FuelCellStackSpec:
     """The stack of whole grams sized for the given power, at least 1 g for
     a power above 0 W."""
-    mass = max(_to_gram(power / c.stack_specific_power), 0.001 if power > 0 else 0.0)
-    return FuelCellStackSpec.from_mass(mass, specific_power=c.stack_specific_power)
+    specific_power = inputs.stack_specific_power
+    mass = max(_to_gram(power / specific_power), 0.001 if power > 0 else 0.0)
+    return FuelCellStackSpec.from_mass(mass, specific_power=specific_power)
 
 
 def rate(config: HybridConfig, pack_load: float) -> SizingResult:
@@ -184,11 +178,10 @@ def _fuel_supply(inputs: SizingInputs, mode: str, stack: FuelCellStackSpec,
     first warning is over_budget. A supply whose peak capability falls
     short of the peak is warned of that last.
     """
-    c = inputs.constants
     fuel_mass = inputs.mass_budget - stack.mass - battery_mass - electronics_mass
     config = HybridConfig(
-        stack=stack, battery=default_battery_template(c).scaled(battery_mass),
-        tank=FuelTankSpec(max(fuel_mass, 0.0), c.fuel_specific_energy),
+        stack=stack, battery=default_battery_template(inputs).scaled(battery_mass),
+        tank=FuelTankSpec(max(fuel_mass, 0.0), inputs.fuel_specific_energy),
         electronics=ElectronicsSpec(electronics_mass),
         controller=ControllerParams(fc_setpoint=min(inputs.steady_power,
                                                     stack.rated_power)),
@@ -206,12 +199,11 @@ def _fuel_supply(inputs: SizingInputs, mode: str, stack: FuelCellStackSpec,
 
 def size_hybrid(inputs: SizingInputs) -> SizingResult:
     """Allocate stack to the steady draw, battery to the peak, fuel last."""
-    c = inputs.constants
-    stack = _stack(inputs.steady_power, c)
-    battery_mass = _to_gram(inputs.peak_power / c.battery_specific_power)
-    parts = stack.mass + battery_mass + c.electronics_mass
+    stack = _stack(inputs.steady_power, inputs)
+    battery_mass = _to_gram(inputs.peak_power / inputs.battery_specific_power)
+    parts = stack.mass + battery_mass + inputs.electronics_mass
     return _fuel_supply(
-        inputs, MODE_HYBRID, stack, battery_mass, c.electronics_mass,
+        inputs, MODE_HYBRID, stack, battery_mass, inputs.electronics_mass,
         f"stack, battery, and electronics need {parts:.3f} kg, "
         f"over the {inputs.mass_budget:.3f} kg budget")
 
@@ -223,7 +215,7 @@ def size_direct_fc(inputs: SizingInputs) -> SizingResult:
     every stack it runs at 0.8 V; unbuffered, it is assumed to see a
     relative ripple of 1, which sets its life (about 120 h).
     """
-    stack = _stack(_STACK_FACTOR * inputs.steady_power, inputs.constants)
+    stack = _stack(_STACK_FACTOR * inputs.steady_power, inputs)
     return _fuel_supply(
         inputs, MODE_DIRECT, stack, 0.0, 0.0,
         f"stack alone ({stack.mass:.3f} kg) exceeds the budget")
@@ -291,8 +283,7 @@ class SetpointEvaluation:
 
 def _supply(inputs: SizingInputs, setpoint: float) -> SizingResult:
     """The hybrid sized for a setpoint."""
-    return size_hybrid(SizingInputs(inputs.mass_budget, setpoint,
-                                    inputs.peak_power, inputs.constants))
+    return size_hybrid(replace(inputs, steady_power=setpoint))
 
 
 def _drain_tolerance(config: HybridConfig) -> float:

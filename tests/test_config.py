@@ -130,7 +130,7 @@ class TestLoadSizingInputs:
         assert inp.mass_budget == 1.2
         assert inp.steady_power == 45.0
         assert inp.peak_power == 250.0
-        assert inp.constants.fuel_specific_energy == 4950.0
+        assert inp.fuel_specific_energy == 4950.0
 
     def test_file_overrides(self, tmp_path):
         inp = load_sizing_inputs(write(tmp_path, """
@@ -144,9 +144,9 @@ electronics_mass = 0.2
         assert inp.mass_budget == 2.0
         assert inp.steady_power == 60.0
         assert inp.peak_power == 300.0
-        assert inp.constants.fuel_specific_energy == 4000.0
-        assert inp.constants.electronics_mass == 0.2
-        assert inp.constants.stack_specific_power == 300.0
+        assert inp.fuel_specific_energy == 4000.0
+        assert inp.electronics_mass == 0.2
+        assert inp.stack_specific_power == 300.0
 
     def test_flags_beat_file(self, tmp_path):
         path = write(tmp_path, "[sizing]\nmass_budget = 2.0\nsteady_power = 60\n")
@@ -197,6 +197,21 @@ class TestStrictKeys:
         with pytest.raises(ValidationError) as err:
             load_sizing_inputs(write(tmp_path, "[sizing]\nmass_budge = 2\n"))
         assert "[sizing]" in str(err.value) and "'mass_budge'" in str(err.value)
+
+    def test_sizing_keys_are_one_record_in_field_order(self, tmp_path):
+        with pytest.raises(ValidationError) as err:
+            load_sizing_inputs(write(tmp_path, "[sizing]\nmass_budge = 2\n"))
+        assert str(err.value) == (
+            "[sizing] unknown key 'mass_budge', expected one of mass_budget, "
+            "steady_power, peak_power, stack_specific_power, battery_specific_power, "
+            "battery_specific_energy, fuel_specific_energy, electronics_mass")
+
+    def test_sizing_names_the_first_field_out_of_range(self, tmp_path):
+        # a mission figure precedes the specific figures in field order
+        with pytest.raises(ValidationError) as err:
+            load_sizing_inputs(write(tmp_path, "[sizing]\nmass_budget = -1\n"
+                                               "battery_specific_power = 0\n"))
+        assert str(err.value) == "[sizing] mass_budget must be > 0"
 
     def test_field_name_is_not_a_unit_key(self, tmp_path):
         with pytest.raises(ValidationError) as err:

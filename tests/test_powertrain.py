@@ -329,7 +329,7 @@ def spec_fields():
     """(spec, field) for every float init field of every validated spec."""
     cfg = presets.hybrid_config()
     specs = [cfg.stack, cfg.battery, cfg.tank, cfg.electronics, cfg.controller,
-             cfg.degradation, presets.CONSTANTS, presets.SIZING_INPUTS, GaitParams()]
+             cfg.degradation, presets.SIZING_INPUTS, GaitParams()]
     return [pytest.param(spec, f.name, id=f"{type(spec).__name__}.{f.name}")
             for spec in specs for f in fields(spec)
             if f.init and isinstance(getattr(spec, f.name), float)]
@@ -345,7 +345,7 @@ class TestNonFiniteFields:
     def test_every_spec_is_covered(self):
         assert {p.values[0].__class__.__name__ for p in spec_fields()} == {
             "FuelCellStackSpec", "BatterySpec", "FuelTankSpec", "ElectronicsSpec",
-            "ControllerParams", "DegradationParams", "SizingConstants", "SizingInputs",
+            "ControllerParams", "DegradationParams", "SizingInputs",
             "GaitParams"}
 
     def test_named_before_a_field_out_of_its_range(self):

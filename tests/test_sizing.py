@@ -27,7 +27,6 @@ from fchybrid.simulator import (
     simulate,
 )
 from fchybrid.sizing import (
-    SizingConstants,
     SizingInputs,
     default_battery_template,
     evaluate_setpoint,
@@ -45,7 +44,7 @@ WALK = GaitParams(base_load=40.0, gait_period=1.0, stride_duty=0.5,
 REFINE = 0.1 * 1e-3  # the search's bisection width, 1e-4 W
 # a pack of each chemistry the tests size: the two presets and a buffer pack
 PACKS = [presets.NIMH_TEMPLATE, presets.LIION_TEMPLATE,
-         replace(default_battery_template(), chemistry="LiFePO4")]
+         replace(default_battery_template(INPUTS), chemistry="LiFePO4")]
 
 
 def flat_profile(power=45.0, duration=600.0):
@@ -118,7 +117,7 @@ class TestInputsValidation:
     ])
     def test_constants(self, kwargs):
         with pytest.raises(ValidationError):
-            SizingConstants(**kwargs)
+            SizingInputs(1.2, 45.0, 250.0, **kwargs)
 
     @pytest.mark.parametrize("kwargs", [
         {"mass_budget": 0.0, "steady_power": 45.0, "peak_power": 250.0},
@@ -182,9 +181,9 @@ class TestSizeHybrid:
 
     def test_part_too_heavy_for_a_float_is_rejected(self):
         # 1e10 W at 1e-300 W/kg is a stack of more than the largest float
-        c = SizingConstants(stack_specific_power=1e-300)
+        inputs = SizingInputs(1.2, 1e10, 1e10, stack_specific_power=1e-300)
         with pytest.raises(ValidationError, match="finite"):
-            size_hybrid(SizingInputs(1.2, 1e10, 1e10, c))
+            size_hybrid(inputs)
 
     def test_fuel_grows_with_budget(self):
         rng = np.random.default_rng(11)
@@ -287,7 +286,7 @@ class TestSupplyLabel:
 
     @pytest.mark.parametrize("allocate", [size_hybrid, size_direct_fc])
     def test_fuel_row_ignores_the_buffer_chemistry(self, allocate):
-        template = replace(default_battery_template(), chemistry="LiFePO4")
+        template = replace(default_battery_template(INPUTS), chemistry="LiFePO4")
         sized = allocate(INPUTS)
         row = compare([replace(sized.config,
                                battery=template.scaled(sized.battery_mass))])[0]
@@ -326,9 +325,8 @@ class TestInternalConsistency:
     @example(budget=1.2, steady=0.07, extra_peak=249.93, electronics=0.115)
     def test_fuel_takes_what_the_parts_leave(self, allocate, budget, steady,
                                              extra_peak, electronics):
-        c = SizingConstants(electronics_mass=electronics)
         peak = steady + extra_peak
-        r = allocate(SizingInputs(budget, steady, peak, c))
+        r = allocate(SizingInputs(budget, steady, peak, electronics_mass=electronics))
         parts = r.stack_mass + r.battery_mass + r.electronics_mass
         event(f"{r.mode} feasible={r.feasible}")
         if r.feasible:
@@ -527,8 +525,7 @@ class TestEvaluateSetpoint:
 
 def supply(inputs, setpoint):
     """The configuration of the hybrid sized for a setpoint."""
-    return size_hybrid(SizingInputs(inputs.mass_budget, setpoint, inputs.peak_power,
-                                    inputs.constants)).config
+    return size_hybrid(replace(inputs, steady_power=setpoint)).config
 
 
 def judgement(evaluations, inputs, setpoint):
@@ -810,7 +807,7 @@ class TestOptimizeSetpoint:
         fixed = size_hybrid(SizingInputs(1.0, 0.0, peak))
         inputs = SizingInputs((stack_g + fuel_g) / 1000.0 + fixed.battery_mass
                               + fixed.electronics_mass, 0.0, peak)
-        rated = stack_g / 1000.0 * inputs.constants.stack_specific_power
+        rated = stack_g / 1000.0 * inputs.stack_specific_power
         average = profile_stats(gait).average_power
         setpoints = sorted({*np.linspace(0.0, peak, 16).tolist(),
                             *(min(max(rated + 0.05 * k, 0.0), peak)
@@ -887,13 +884,12 @@ class TestOneJudgementPerSupply:
         gait = synthesize_walk_profile(GaitParams(
             base_load=base, mech_peak=mech_peak, stride_duty=duty,
             gait_period=period, duration=20.0))
-        c = INPUTS.constants
         stack_g = round(profile_stats(gait).average_power / 0.3) + grams
-        rated = stack_g / 1000.0 * c.stack_specific_power
+        rated = stack_g / 1000.0 * INPUTS.stack_specific_power
         fixed = size_hybrid(SizingInputs(1.0, 0.0, 250.0))
         inputs = SizingInputs((stack_g + fuel_g) / 1000.0 + fixed.battery_mass
                               + fixed.electronics_mass, 0.0, 250.0)
-        a, b = (rated + f * 0.5e-3 * c.stack_specific_power for f in above)
+        a, b = (rated + f * 0.5e-3 * INPUTS.stack_specific_power for f in above)
         assert supply(inputs, a) == supply(inputs, b)
         judged = evaluate_setpoint(gait, inputs, a, dt=0.1)
         event(judged.reason or "feasible")
@@ -903,7 +899,7 @@ class TestOneJudgementPerSupply:
 
 class TestBatteryTemplate:
     def test_default_template_shape(self):
-        t = default_battery_template()
+        t = default_battery_template(INPUTS)
         assert t.chemistry == "nanophosphate"
         assert t.specific_energy == 90.0
         assert t.specific_power == 1850.0
@@ -911,7 +907,7 @@ class TestBatteryTemplate:
         assert t.charge_efficiency == 1.0 and t.discharge_efficiency == 1.0
 
     def test_scaled_pack_tracks_mass(self):
-        pack = default_battery_template().scaled(0.135)
+        pack = default_battery_template(INPUTS).scaled(0.135)
         assert pack.mass == 0.135
         assert math.isclose(pack.capacity_wh, 12.15)
         assert math.isclose(pack.max_power_w, 249.75)
