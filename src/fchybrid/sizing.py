@@ -134,7 +134,8 @@ def rate(config: HybridConfig, pack_load: float) -> SizingResult:
     converter efficiency: the most its stack sustains at the load. The
     run time is run_time_constant_load at that load basis (endless at
     0 W) and the life system_life's over it. The peak capability is the
-    stack_ceiling simulate caps the stack at plus the pack's power bound.
+    stack_ceiling simulate caps the stack at plus the pack's power bound,
+    and a sum that overflows a float raises ValidationError.
     system_energy_density divides the stored energy by the supply's total
     mass, and is 0 for a supply of no mass. The result is feasible and has
     no warnings; an allocator that finds otherwise sets both.
@@ -149,6 +150,8 @@ def rate(config: HybridConfig, pack_load: float) -> SizingResult:
                 if load > 0 else math.inf)
     mass = config.total_mass
     stored = fuel_energy(tank) + battery.capacity_wh
+    if not math.isfinite(peak := config.stack_ceiling + battery.max_power_w):
+        raise ValidationError(f"peak_capability must be finite, got {peak}")
     return SizingResult(
         mode=config.mode,
         stack_mass=config.stack.mass,
@@ -160,7 +163,7 @@ def rate(config: HybridConfig, pack_load: float) -> SizingResult:
         energy_density=density,
         system_energy_density=stored / mass if mass > 0 else 0.0,
         load_basis=load,
-        peak_capability=config.stack_ceiling + battery.max_power_w,
+        peak_capability=peak,
         feasible=True,
         config=config,
         label=supply_label(config.mode, battery.chemistry),

@@ -309,6 +309,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
 
+    @pytest.mark.parametrize("argv, ini", [
+        (["size", "--budget", "3.9e305", "--steady", "1e308", "--peak", "1e308",
+          "--format", "csv"], ""),
+        (["compare"], "[fuel_cell]\nrated_power = 1e308\n[controller]\n"
+                      "fc_setpoint_w = 1e308\n[battery]\nmass = 1e304\n"
+                      "specific_power = 10000\n"),
+    ], ids=["size", "compare"])
+    def test_peak_capability_that_overflows_a_float(self, tmp_path, capsys, argv, ini):
+        # finite stack and pack whose powers sum past the largest float: each
+        # read an infinite peak capability, with exit 0
+        if ini:
+            path = tmp_path / "huge.ini"
+            path.write_text(ini)
+            argv = [*argv, "--config", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: peak_capability must be finite, got inf\n"
+
     @pytest.mark.parametrize("dt", ["nan", "inf", "0"])
     def test_bad_dt(self, tmp_path, capsys, dt):
         profile = flat_profile_file(tmp_path)
