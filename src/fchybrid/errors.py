@@ -50,15 +50,19 @@ def bounded(allowed: str, default=MISSING):
 
 
 def check_fields(spec) -> None:
-    """Reject a dataclass whose fields hold a NaN or infinite float, or else
-    a value outside the range its field declares with bounded: the first
-    such field is named. A range test such as ``x < 0`` passes NaN. A spec
-    sets the fields it derives before calling this, so a derived product
-    that overflows is refused too."""
+    """Reject a dataclass whose fields hold a NaN or infinite float or an
+    int too large for a float, or else a value outside the range its field
+    declares with bounded: the first such field is named. A range test such
+    as ``x < 0`` passes NaN. A spec sets the fields it derives before
+    calling this, so a derived product that overflows is refused too."""
     outside = None
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        try:
+            finite = not isinstance(value, (int, float)) or math.isfinite(value)
+        except OverflowError:
+            finite, value = False, "an int too large for a float"
+        if not finite:
             raise ValidationError(f"{f.name} must be finite, got {value}")
         allowed = f.metadata.get("range")
         if outside is None and allowed is not None and _OUTSIDE[allowed](value):

@@ -86,8 +86,12 @@ class BatterySpec:
     max_power_w: float = field(init=False, repr=False, compare=False)  # W
 
     def __post_init__(self):
-        object.__setattr__(self, "capacity_wh", self.mass * self.specific_energy)
-        object.__setattr__(self, "max_power_w", self.mass * self.specific_power)
+        try:  # an int too large for a float overflows here; check_fields names it
+            derived = self.mass * self.specific_energy, self.mass * self.specific_power
+        except OverflowError:
+            derived = math.nan, math.nan
+        object.__setattr__(self, "capacity_wh", derived[0])
+        object.__setattr__(self, "max_power_w", derived[1])
         check_fields(self)
         if not 0.0 <= self.soc_min < self.soc_max <= 1.0:
             raise ValidationError("need 0 <= soc_min < soc_max <= 1")

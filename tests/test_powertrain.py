@@ -21,6 +21,7 @@ from fchybrid.powertrain import (
     fuel_energy,
 )
 from fchybrid.profile import GaitParams
+from fchybrid.sizing import SizingInputs
 
 
 def pack(capacity_wh=10.0, power_w=1000.0, eta_c=1.0, eta_d=1.0,
@@ -363,6 +364,23 @@ class TestNonFiniteFields:
         with pytest.raises(ValidationError, match=f"^{name} must be finite, got inf$"):
             build()
         assert math.isfinite(fuel_energy(FuelTankSpec(fuel_mass=3e304)))
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: FuelTankSpec(10**400), "fuel_mass"),
+        (lambda: BatterySpec("x", 10**400, 90.0, 1850.0), "mass"),
+        (lambda: BatterySpec("x", 1.0, 90.0, 10**400), "specific_power"),
+        (lambda: SizingInputs(10**400, 45, 250), "mass_budget"),
+    ], ids=["tank", "pack", "pack-power", "sizing"])
+    def test_int_too_large_for_a_float(self, build, name):
+        # each raised OverflowError, or was accepted and overflowed later
+        with pytest.raises(ValidationError,
+                           match=f"^{name} must be finite, got an int too large"):
+            build()
+
+    def test_int_within_float_range_is_kept(self):
+        tank = FuelTankSpec(2, 4950)
+        assert type(tank.fuel_mass) is int and fuel_energy(tank) == 9900
+        assert type(SizingInputs(10**300, 45, 250).mass_budget) is int
 
 
 # float init fields checked against other fields, so they declare no range
