@@ -49,9 +49,9 @@ def suppression_filter(previous: float, commanded: float, dt: float, tau: float)
     y' = y + (dt / (tau + dt)) * (u - y). Unconditionally stable for any
     positive dt, fixed point at y = u.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValidationError("dt must be > 0")
-    if tau <= 0:
+    if not tau > 0:
         raise ValidationError("tau must be > 0")
     return previous + (dt / (tau + dt)) * (commanded - previous)
 

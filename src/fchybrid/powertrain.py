@@ -134,9 +134,9 @@ def fc_life(cell_voltage: float, relative_ripple: float = 0.0,
     relative_ripple is (max - min) / mean of the power seen by the stack;
     it adds ripple_gain volts of effective stress per unit.
     """
-    if cell_voltage <= 0:
+    if not cell_voltage > 0:
         raise ValidationError("cell_voltage must be > 0")
-    if relative_ripple < 0:
+    if not relative_ripple >= 0:
         raise ValidationError("relative_ripple must be >= 0")
     v_eff = cell_voltage + params.ripple_gain * relative_ripple
     return params.ref_life * math.exp(-params.slope * (v_eff - params.ref_voltage))

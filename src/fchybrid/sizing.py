@@ -325,7 +325,7 @@ def evaluate_setpoint(profile: PowerProfile, inputs: SizingInputs,
     The setpoint is read only through the supply it builds, so two
     setpoints that build one supply get evaluations equal but for setpoint.
     """
-    if setpoint < 0:
+    if not setpoint >= 0:
         raise ValidationError("setpoint must be >= 0")
     dt = checked_dt(profile, dt)
     sized = _supply(inputs, setpoint)

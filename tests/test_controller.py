@@ -91,6 +91,12 @@ class TestSuppressionFilter:
         with pytest.raises(ValidationError):
             suppression_filter(0.0, 45.0, 0.1, 0.0)
 
+    @pytest.mark.parametrize("dt, tau, name", [(math.nan, 1.0, "dt"), (1.0, math.nan, "tau")])
+    def test_nan_step_or_time_constant_rejected(self, dt, tau, name):
+        # each returned nan
+        with pytest.raises(ValidationError, match=f"^{name} must be > 0$"):
+            suppression_filter(1.0, 2.0, dt, tau)
+
 
 class TestMeasureRipple:
     def test_constant_series(self):

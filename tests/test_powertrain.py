@@ -94,6 +94,15 @@ class TestFcLife:
         with pytest.raises(ValidationError):
             DegradationParams(slope=-1.0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan,), "cell_voltage must be > 0"),
+        ((0.8, math.nan), "relative_ripple must be >= 0"),
+    ], ids=["voltage", "ripple"])
+    def test_nan_rejected(self, args, message):
+        # each returned nan
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            fc_life(*args)
+
 
 class TestStackSpec:
     def test_from_mass(self):

@@ -516,6 +516,12 @@ class TestEvaluateSetpoint:
         with pytest.raises(ValidationError):
             evaluate_setpoint(flat_profile(45.0), INPUTS, -1.0)
 
+    def test_nan_setpoint_named(self):
+        # the check of the sized inputs named steady_power, a field the
+        # caller never passed
+        with pytest.raises(ValidationError, match="^setpoint must be >= 0$"):
+            evaluate_setpoint(flat_profile(45.0), INPUTS, math.nan)
+
     def test_oversized_setpoint_costs_fuel_mass(self):
         at_load = evaluate_setpoint(flat_profile(45.0), INPUTS, 45.0, dt=1.0)
         above = evaluate_setpoint(flat_profile(45.0), INPUTS, 60.0, dt=1.0)
