@@ -19,6 +19,8 @@ from .presets import (
     LIION_TEMPLATE,
     NANO_TEMPLATE,
     NIMH_TEMPLATE,
+    PACK_COMPARISON_LOAD_W,
+    PEAK_POWER_W,
     comparison_configs,
     comparison_sizings,
     hybrid_config,
@@ -31,7 +33,7 @@ from .profile import (
     synthesize_walk_profile,
 )
 from .report import compare, emit
-from .simulator import simulate
+from .simulator import MODES, simulate
 from .sizing import size_battery_only, size_direct_fc, size_hybrid
 
 _TEMPLATES = {
@@ -143,16 +145,17 @@ def build_parser() -> _Parser:
     prof_sub = prof.add_subparsers(dest="subcommand", required=True)
 
     synth = prof_sub.add_parser("synth", help="generate a walking profile")
-    synth.add_argument("--base", type=float, default=40.0,
+    synth.add_argument("--base", type=float, default=GaitParams.base_load,
                        help="computer and sensor load, W")
-    synth.add_argument("--period", type=float, default=1.0, help="gait period, s")
-    synth.add_argument("--duty", type=float, default=0.6,
+    synth.add_argument("--period", type=float, default=GaitParams.gait_period,
+                       help="gait period, s")
+    synth.add_argument("--duty", type=float, default=GaitParams.stride_duty,
                        help="stride fraction of each period")
-    synth.add_argument("--mech-peak", type=float, default=0.0,
+    synth.add_argument("--mech-peak", type=float, default=GaitParams.mech_peak,
                        help="mechanical power during the stride, W")
-    synth.add_argument("--efficiency", type=float, default=0.5,
+    synth.add_argument("--efficiency", type=float, default=GaitParams.servo_efficiency,
                        help="servo electrical-to-mechanical efficiency")
-    synth.add_argument("--duration", type=float, default=3600.0,
+    synth.add_argument("--duration", type=float, default=GaitParams.duration,
                        help="profile length, s")
     synth.add_argument("--step", type=float, default=None,
                        help="sample spacing, s (default period/50)")
@@ -183,12 +186,11 @@ def build_parser() -> _Parser:
     sim.set_defaults(func=_cmd_simulate)
 
     size = sub.add_parser("size", help="allocate a supply mass budget")
-    size.add_argument("--mode", choices=("hybrid", "direct_fc", "battery_only"),
-                      default="hybrid")
+    size.add_argument("--mode", choices=MODES, default="hybrid")
     size.add_argument("--budget", type=float, default=None, help="supply mass, kg")
     size.add_argument("--steady", type=float, default=None, help="steady draw, W")
     size.add_argument("--peak", type=float, default=None, help="peak demand, W")
-    size.add_argument("--load", type=float, default=16.0,
+    size.add_argument("--load", type=float, default=PACK_COMPARISON_LOAD_W,
                       help="average load for battery_only sizing, W")
     size.add_argument("--chemistry", choices=sorted(_TEMPLATES), default="nimh",
                       help="battery_only pack chemistry")
@@ -204,9 +206,9 @@ def build_parser() -> _Parser:
                       help="compare the four built-in presets")
     comp.add_argument("--config", action="append", default=[],
                       help="supply config INI (repeatable)")
-    comp.add_argument("--peak", type=float, default=250.0,
+    comp.add_argument("--peak", type=float, default=PEAK_POWER_W,
                       help="peak demand every option is judged against, W")
-    comp.add_argument("--battery-load", type=float, default=16.0,
+    comp.add_argument("--battery-load", type=float, default=PACK_COMPARISON_LOAD_W,
                       help="load basis for battery-only entries, W")
     comp.add_argument("--format", choices=("json", "csv"), default="json")
     comp.add_argument("--out", default=None)

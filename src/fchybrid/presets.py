@@ -31,11 +31,8 @@ PEAK_POWER_W = 250.0
 WALK_AVERAGE_W = 45.0
 PACK_COMPARISON_LOAD_W = 16.0  # stock 48 Wh pack over its 3 h endurance
 
-SIZING_INPUTS = SizingInputs(
-    mass_budget=MASS_BUDGET_KG,
-    steady_power=WALK_AVERAGE_W,
-    peak_power=PEAK_POWER_W,
-)
+SIZING_INPUTS = SizingInputs(mass_budget=MASS_BUDGET_KG, steady_power=WALK_AVERAGE_W,
+                             peak_power=PEAK_POWER_W)
 
 # specific power figures for the stock-pack chemistries are typical
 # catalog values; they only matter for the peak-feasibility column

@@ -20,6 +20,7 @@ from operator import attrgetter
 
 from .controller import EnergyFlow
 from .errors import ValidationError
+from .presets import PACK_COMPARISON_LOAD_W, PEAK_POWER_W
 from .profile import ProfileStats
 from .simulator import HybridConfig, MODE_BATTERY, SimulationResult
 from .sizing import SizingResult, rate
@@ -57,8 +58,8 @@ def _row_from_config(config: HybridConfig, peak_power: float,
     )
 
 
-def compare(entries, peak_power: float = 250.0,
-            battery_load: float = 16.0) -> list[ComparisonRow]:
+def compare(entries, peak_power: float = PEAK_POWER_W,
+            battery_load: float = PACK_COMPARISON_LOAD_W) -> list[ComparisonRow]:
     """Rate each configuration as one comparison row, labelled by mode.
 
     Each row is the configuration's rating by sizing.rate, the rule that

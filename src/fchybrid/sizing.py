@@ -121,9 +121,8 @@ def supply_label(mode: str, chemistry: str = "") -> str:
 def _stack(power: float, inputs: SizingInputs) -> FuelCellStackSpec:
     """The stack of whole grams sized for the given power, at least 1 g for
     a power above 0 W."""
-    specific_power = inputs.stack_specific_power
-    mass = max(_to_gram(power / specific_power), 0.001 if power > 0 else 0.0)
-    return FuelCellStackSpec.from_mass(mass, specific_power=specific_power)
+    mass = max(_to_gram(power / inputs.stack_specific_power), 0.001 if power > 0 else 0.0)
+    return FuelCellStackSpec.from_mass(mass, specific_power=inputs.stack_specific_power)
 
 
 def rate(config: HybridConfig, pack_load: float) -> SizingResult:

@@ -13,6 +13,7 @@ import pytest
 import fchybrid
 from fchybrid import presets
 from fchybrid.cli import build_parser, main
+from fchybrid.profile import GaitParams
 from test_config import supply_text
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -79,6 +80,13 @@ class TestProfileCommands:
         for flag, value in self.SYNTH_VALUES.items():
             assert main([*self.SYNTH_BASE, flag, value]) == 0
             assert capsys.readouterr().out != base, flag
+
+    def test_synth_defaults_are_the_gait_defaults(self):
+        args = build_parser().parse_args(["profile", "synth"])
+        assert GaitParams(base_load=args.base, gait_period=args.period,
+                          stride_duty=args.duty, mech_peak=args.mech_peak,
+                          servo_efficiency=args.efficiency,
+                          duration=args.duration) == GaitParams()
 
     def test_stats_csv_format(self, tmp_path, capsys):
         profile = flat_profile_file(tmp_path)
