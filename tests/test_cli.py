@@ -305,9 +305,16 @@ class TestExitCodes:
          "", "capacity_wh must be finite, got inf"),
         (["compare"], "[fuel_tank]\nfuel_mass = 1e305\n",
          "[fuel_tank] fuel_mass * specific_energy_electric must be finite, got inf"),
-    ], ids=["hybrid-fuel", "pack", "ini-fuel"])
+        (["size", "--budget", "3.9e305", "--steady", "1e308", "--peak", "1e308",
+          "--format", "csv"], "", "peak_capability must be finite, got inf"),
+        (["compare"], "[fuel_cell]\nrated_power = 1e308\n[controller]\n"
+                      "fc_setpoint_w = 1e308\n[battery]\nmass = 1e304\n"
+                      "specific_power = 10000\n", "peak_capability must be finite, got inf"),
+    ], ids=["hybrid-fuel", "pack", "ini-fuel", "peak", "ini-peak"])
     def test_store_that_overflows_a_float(self, tmp_path, capsys, argv, ini, error):
-        # each read an endless run time for a finite supply, with exit 0
+        # each exited 0 for a finite supply: with an endless run time, or
+        # with an infinite peak capability where stack and pack sum past the
+        # largest float
         if ini:
             path = tmp_path / "huge.ini"
             path.write_text(ini)
@@ -316,25 +323,6 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
-
-    @pytest.mark.parametrize("argv, ini", [
-        (["size", "--budget", "3.9e305", "--steady", "1e308", "--peak", "1e308",
-          "--format", "csv"], ""),
-        (["compare"], "[fuel_cell]\nrated_power = 1e308\n[controller]\n"
-                      "fc_setpoint_w = 1e308\n[battery]\nmass = 1e304\n"
-                      "specific_power = 10000\n"),
-    ], ids=["size", "compare"])
-    def test_peak_capability_that_overflows_a_float(self, tmp_path, capsys, argv, ini):
-        # finite stack and pack whose powers sum past the largest float: each
-        # read an infinite peak capability, with exit 0
-        if ini:
-            path = tmp_path / "huge.ini"
-            path.write_text(ini)
-            argv = [*argv, "--config", str(path)]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: peak_capability must be finite, got inf\n"
 
     @pytest.mark.parametrize("dt", ["nan", "inf", "0"])
     def test_bad_dt(self, tmp_path, capsys, dt):
